@@ -1,6 +1,9 @@
-(** Delayed-hit executor: requests to a block already in flight park on
-    the outstanding fetch and pay only its remaining latency, instead of
-    stalling the clock like a fresh miss.
+(** Delayed hits: requests to a block already in flight park on the
+    outstanding fetch and pay only its remaining latency, instead of
+    stalling the clock like a fresh miss.  {!run} is the executor of
+    {!Simulate} with one parameter switched on, the wait [window]: it
+    calls the same event loop as {!Simulate.run} and
+    {!Simulate.run_faulty}, and parks iff [window > 0].
 
     Semantics relative to {!Simulate}:
     - during [t, t+1) the cursor request is served inline if resident
@@ -26,8 +29,9 @@
     [Simulate.run]'s stats for every schedule the classic executor
     accepts; with [window = 0] and [Faults.none] rejections are
     identical too.  Under any other plan the strict plan-consistency
-    rejections relax into degraded-mode drop/defer behaviour, counted in
-    [report]. *)
+    rejections relax into degraded mode: a start the state does not admit
+    waits in one global FIFO until it can go (never dropped, unlike
+    {!Simulate.run_faulty}), counted in [report]. *)
 
 type wait = {
   req_index : int;  (** request that parked (0-based position in seq) *)

@@ -11,7 +11,14 @@
     - during [t, t+1) the next request is served if its block is resident,
       otherwise the unit is processor stall time;
     - stall benefits all in-flight fetches simultaneously (the
-      parallel-disk behaviour of the paper's two-disk example). *)
+      parallel-disk behaviour of the paper's two-disk example).
+
+    One event loop serves {!run}, {!run_faulty} and {!Delayed.run}.  Its
+    strict mode is the model above; a non-empty {!Faults} plan, or
+    delayed-hit parking ([window > 0], {!Delayed.run} only), switches it
+    to a degraded mode whose start policy the entry point picks:
+    {!run_faulty} queues per disk and drops inapplicable fetches,
+    {!Delayed.run} defers them in one global FIFO. *)
 
 type event =
   | Serve of { time : int; index : int; block : Instance.block }
@@ -84,6 +91,20 @@ val run_faulty :
     [fault_stall].  Still rejects statically malformed schedules, and
     deadlocks when an abandoned fetch leaves a requested block
     unreachable (the {!Resilient} executor in lib/core re-plans instead). *)
+
+val exec_delayed :
+  extra_slots:int -> record_events:bool -> attribution:bool -> window:int -> faults:Faults.t ->
+  on_park:
+    (req_index:int -> block:Instance.block -> disk:int -> parked_at:int -> ready_at:int ->
+     queue_depth:int -> unit) ->
+  Instance.t -> Fetch_op.schedule -> (stats * Faults.report, error) Result.t
+(** The event loop behind {!Delayed.run} - call that instead, which checks
+    its arguments and packages the result.  The plan must have no
+    failures and no outages.  Parking is on iff [window > 0]; [on_park]
+    sees every delayed hit.  Outside strict mode (a non-empty plan, or
+    parking on) an inapplicable start waits in one global FIFO until it
+    can go, and is never dropped.  Bumps none of the [simulate.*]
+    series. *)
 
 exception Invalid_schedule of { algorithm : string; at_time : int; reason : string }
 (** A schedule the simulator rejects, in exception position.  [algorithm]

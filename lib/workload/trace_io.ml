@@ -130,9 +130,12 @@ let rec next_keyed_line r =
       in
       match String.index_opt line ' ' with
       | None ->
-        (* A bare [seq] line (empty payload) is legal; anything else is
-           malformed. *)
-        if line = "seq" then Some ("seq", "") else parse_error r "malformed line: %s" line
+        (* A bare [seq] line (empty payload) is legal, and so is a bare
+           [init] line: an empty initial cache, which [save_instance]
+           writes for a cold start (a missing [init] means warm).
+           Anything else is malformed. *)
+        if line = "seq" || line = "init" then Some (line, "")
+        else parse_error r "malformed line: %s" line
       | Some i ->
         Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
     end

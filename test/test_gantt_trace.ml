@@ -39,19 +39,24 @@ let test_gantt_rejects_invalid () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected rejection (fetch of cached block)"
 
+(* Example 2 (warm, two disks) and a cold start, which is written as a
+   bare [init] line (a missing one would mean "warm"). *)
 let test_trace_roundtrip () =
-  let inst = example2 () in
-  let path = Filename.temp_file "ipc_trace" ".txt" in
-  Trace_io.save_instance path inst;
-  let inst' = Trace_io.load_instance path in
-  Sys.remove path;
-  Alcotest.(check bool) "seq" true (inst.Instance.seq = inst'.Instance.seq);
-  Alcotest.(check int) "k" inst.Instance.cache_size inst'.Instance.cache_size;
-  Alcotest.(check int) "f" inst.Instance.fetch_time inst'.Instance.fetch_time;
-  Alcotest.(check int) "disks" inst.Instance.num_disks inst'.Instance.num_disks;
-  Alcotest.(check bool) "layout" true (inst.Instance.disk_of = inst'.Instance.disk_of);
-  Alcotest.(check bool) "init" true
-    (List.sort compare inst.Instance.initial_cache = List.sort compare inst'.Instance.initial_cache)
+  List.iter
+    (fun inst ->
+       let path = Filename.temp_file "ipc_trace" ".txt" in
+       Trace_io.save_instance path inst;
+       let inst' = Trace_io.load_instance path in
+       Sys.remove path;
+       Alcotest.(check bool) "seq" true (inst.Instance.seq = inst'.Instance.seq);
+       Alcotest.(check int) "k" inst.Instance.cache_size inst'.Instance.cache_size;
+       Alcotest.(check int) "f" inst.Instance.fetch_time inst'.Instance.fetch_time;
+       Alcotest.(check int) "disks" inst.Instance.num_disks inst'.Instance.num_disks;
+       Alcotest.(check bool) "layout" true (inst.Instance.disk_of = inst'.Instance.disk_of);
+       Alcotest.(check bool) "init" true
+         (List.sort compare inst.Instance.initial_cache
+          = List.sort compare inst'.Instance.initial_cache))
+    [ example2 (); Instance.single_disk ~k:2 ~fetch_time:3 ~initial_cache:[] [| 0; 1; 0; 2; 1 |] ]
 
 let test_trace_defaults () =
   let path = Filename.temp_file "ipc_trace" ".txt" in
