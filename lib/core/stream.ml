@@ -11,13 +11,17 @@
    [prefetch] / [on_find] / [on_insert] / [on_evict]); the built-in
    ports and history-based competitors live in {!Prefetcher}.
 
-   The engine mirrors the batch Reference loop instant by instant
-   (tick completions, decide, advance), so at [w = n] a ported policy
-   produces byte-identical schedules to its batch twin — the streaming
-   oracle class in lib/check pins this across the fuzz corpus.  Unlike
-   the batch driver it holds no full-trace arrays: memory is
-   O(window + cache + block universe of the resident set), so endless
-   traces stream in constant space.
+   The engine mirrors the batch Fast loop (tick completions, decide,
+   advance, skip the instants where no fetch can start), so at [w = n] a
+   ported policy produces byte-identical schedules to its batch twin —
+   the streaming oracle class in lib/check pins this across the fuzz
+   corpus.  Unlike the batch driver it holds no full-trace arrays and
+   nothing sized by block ids: internally every block is named by its
+   {!Win_ref} slot (residency is a live entry in the slot-indexed
+   eviction heap), and the engine pins a block's slot from the fetch
+   that brings it in until its eviction.  Memory is O(window + cache)
+   for any ids, so endless traces stream in constant space.  Policies
+   see raw ids only.
 
    Misses the policy declines to cover are handled by a built-in demand
    fetch (issued after the policy's [prefetch] at the same instant, only
@@ -143,11 +147,8 @@ type t = {
   mutable exhausted : bool;
   mutable time : int;
   mutable cursor : int;
-  resident : (int, unit) Hashtbl.t;
-  mutable heap : Evict_heap.t;  (* live key = windowed next ref of each resident block *)
-  mutable heap_cap : int;  (* heap block-id capacity; grown as larger ids stream in *)
-  mutable cache_count : int;
-  mutable fly_block : int;  (* -1 when the (single) disk is idle *)
+  heap : Evict_heap.t;  (* by slot: live iff resident; key = windowed next ref, ties by raw id *)
+  mutable fly_slot : int;  (* slot of the block in flight; -1 when the (single) disk is idle *)
   mutable fly_end : int;
   mutable reach_cur : int;  (* first instant the cursor reached its position *)
   mutable missing_from : int;  (* [cursor, missing_from) holds no missing position *)
@@ -160,12 +161,14 @@ type t = {
   mutable demand_fetches : int;
   mutable refills : int;
   mutable pulled : int;
-  mutable hooks : policy option;  (* attached by [run] *)
+  mutable clock_skips : int;
+  mutable clock_units_skipped : int;
+  pol : policy;
 }
 
 and policy = {
   policy_name : string;
-  prefetch : t -> unit;  (* the per-instant decision slot (disk may be busy) *)
+  prefetch : t -> unit;  (* the decision slot: every instant the disk is idle *)
   on_find : t -> block:int -> hit:bool -> unit;  (* once per request, at first head attempt *)
   on_insert : t -> block:int -> unit;  (* a fetched block became resident *)
   on_evict : t -> block:int -> unit;  (* a resident block was dropped *)
@@ -191,6 +194,9 @@ type outcome = {
   schedule : Fetch_op.t list option;
 }
 
+let resident t s = Evict_heap.mem t.heap s
+let id t s = Win_ref.id_of_slot t.wr s
+
 (* Read API for policies. *)
 
 let cursor t = t.cursor
@@ -203,20 +209,16 @@ let request_at t p = Win_ref.block_at t.wr p
 let exhausted t = t.exhausted
 let max_block_seen t = t.max_block_seen
 
-let in_cache t b = Hashtbl.mem t.resident b
-let cache_count t = t.cache_count
-let disk_busy t = t.fly_block >= 0
-let block_in_flight t b = t.fly_block = b
+let in_cache t b = resident t (Win_ref.slot_of t.wr b)
+let cache_count t = Evict_heap.size t.heap
+let disk_busy t = t.fly_slot >= 0
+let block_in_flight t b = t.fly_slot >= 0 && id t t.fly_slot = b
 
-let has_free_slot t = t.cache_count + (if t.fly_block >= 0 then 1 else 0) < t.k
+let has_free_slot t = cache_count t + (if t.fly_slot >= 0 then 1 else 0) < t.k
 let cache_full t = not (has_free_slot t)
 
 let next_ref t ~block ~from = Win_ref.next_at_or_after t.wr block ~from
 let prev_ref t ~block ~before = Win_ref.prev_before t.wr block ~before
-
-let missing_at t p =
-  let b = Win_ref.block_at t.wr p in
-  not (Hashtbl.mem t.resident b || t.fly_block = b)
 
 (* First window position >= cursor whose block is neither cached nor in
    flight, or None within the lookahead.  Monotone-frontier accelerated
@@ -225,9 +227,13 @@ let missing_at t p =
    re-opens one is an eviction, which clamps the frontier. *)
 let next_missing t =
   let hi = Win_ref.filled t.wr in
-  let rec scan p = if p >= hi then None else if missing_at t p then Some p else scan (p + 1) in
-  let start = Stdlib.max t.missing_from t.cursor in
-  let r = scan start in
+  let rec scan p =
+    if p >= hi then None
+    else
+      let s = Win_ref.slot_at t.wr p in
+      if resident t s || s = t.fly_slot then scan (p + 1) else Some p
+  in
+  let r = scan (Stdlib.max t.missing_from t.cursor) in
   t.missing_from <- (match r with Some p -> p | None -> hi);
   r
 
@@ -249,43 +255,24 @@ let furthest_cached t ~from =
       best := b
     end
   in
-  let hi = Stdlib.min from (Win_ref.filled t.wr) in
-  for p = t.cursor to hi - 1 do
-    let b = Win_ref.block_at t.wr p in
-    if Hashtbl.mem t.resident b then consider b (Win_ref.next_at_or_after t.wr b ~from)
+  for p = t.cursor to Stdlib.min from (Win_ref.filled t.wr) - 1 do
+    let s = Win_ref.slot_at t.wr p in
+    if resident t s then consider (id t s) (Win_ref.slot_next t.wr s ~from)
   done;
   (match Evict_heap.peek t.heap with
-   | Some (b, key) when key >= from -> consider b key
+   | Some (s, key) when key >= from -> consider (id t s) key
    | Some _ | None -> ());
   if !best < 0 then None else Some (!best, !best_next)
 
-(* Block ids are unbounded in a stream, but the heap indexes per-block
-   stamps by id: double its capacity past the largest id seen, re-adding
-   the live entries (O(k log k), amortized away by the doubling). *)
-let ensure_heap_cap t b =
-  if b >= t.heap_cap then begin
-    let cap = Stdlib.max (2 * t.heap_cap) (b + 1) in
-    let heap = Evict_heap.create ~num_blocks:cap in
-    Hashtbl.iter
-      (fun blk () ->
-         Evict_heap.add heap ~block:blk ~key:(Win_ref.next_at_or_after t.wr blk ~from:t.cursor))
-      t.resident;
-    t.heap <- heap;
-    t.heap_cap <- cap
-  end
+(* Residency changes flow through these two so the heap and the slot's
+   pin (taken by [start_fetch], dropped at eviction) never drift. *)
+let cache_add t s =
+  Evict_heap.add_ranked t.heap ~block:s ~rank:(id t s)
+    ~key:(Win_ref.slot_next t.wr s ~from:t.cursor)
 
-(* Residency changes flow through these two so the table, the heap and
-   the count can never drift. *)
-let cache_add t b =
-  Hashtbl.replace t.resident b ();
-  ensure_heap_cap t b;
-  Evict_heap.add t.heap ~block:b ~key:(Win_ref.next_at_or_after t.wr b ~from:t.cursor);
-  t.cache_count <- t.cache_count + 1
-
-let cache_remove t b =
-  Hashtbl.remove t.resident b;
-  Evict_heap.remove t.heap ~block:b;
-  t.cache_count <- t.cache_count - 1
+let cache_remove t s =
+  Evict_heap.remove t.heap ~block:s;
+  Win_ref.unpin t.wr s
 
 let internal_error t fmt =
   Printf.ksprintf
@@ -293,31 +280,33 @@ let internal_error t fmt =
        Simulate.internal_error ~component:"stream"
          "%s (t=%d r%d window [%d,%d) in-flight %s)" msg t.time (t.cursor + 1) t.cursor
          (Win_ref.filled t.wr)
-         (if t.fly_block >= 0 then Printf.sprintf "b%d until %d" t.fly_block t.fly_end else "none"))
+         (if t.fly_slot >= 0 then Printf.sprintf "b%d until %d" (id t t.fly_slot) t.fly_end
+          else "none"))
     fmt
 
 (* Initiate a fetch at the current instant (policies and the demand path
    both land here). *)
 let start_fetch t ~block ~evict =
-  if t.fly_block >= 0 then internal_error t "fetch of b%d while disk busy" block;
-  if Hashtbl.mem t.resident block then internal_error t "fetch of b%d already resident" block;
+  if t.fly_slot >= 0 then internal_error t "fetch of b%d while disk busy" block;
+  if in_cache t block then internal_error t "fetch of b%d already resident" block;
   (match evict with
    | Some e ->
-     if not (Hashtbl.mem t.resident e) then
+     let se = Win_ref.slot_of t.wr e in
+     if not (resident t se) then
        internal_error t "eviction of b%d which is not resident" e;
      (* The eviction re-opens e's in-window references: clamp the
         missing frontier back to its next one. *)
-     let q = Win_ref.next_at_or_after t.wr e ~from:t.cursor in
+     let q = Win_ref.slot_next t.wr se ~from:t.cursor in
      if q < t.missing_from then t.missing_from <- q;
-     cache_remove t e;
-     (match t.hooks with Some h -> h.on_evict t ~block:e | None -> ())
+     cache_remove t se;
+     t.pol.on_evict t ~block:e
    | None ->
-     if t.cache_count >= t.k then internal_error t "fetch of b%d with no free slot" block);
+     if cache_count t >= t.k then internal_error t "fetch of b%d with no free slot" block);
   if t.record_schedule then
     t.ops_rev <-
       Fetch_op.make ~at_cursor:t.cursor ~delay:(t.time - t.reach_cur) ~block ~evict ()
       :: t.ops_rev;
-  t.fly_block <- block;
+  t.fly_slot <- Win_ref.pin t.wr block;
   t.fly_end <- t.time + t.fetch_time;
   t.fetches <- t.fetches + 1;
   if Event_log.enabled () then
@@ -327,7 +316,7 @@ let start_fetch t ~block ~evict =
 (* ------------------------------------------------------------------ *)
 (* Run loop. *)
 
-let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src =
+let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src pol =
   if k < 1 then invalid_arg "Stream.run: cache size must be >= 1";
   if fetch_time < 1 then invalid_arg "Stream.run: fetch time must be >= 1";
   if window < 1 then invalid_arg "Stream.run: window must be >= 1";
@@ -341,11 +330,8 @@ let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src =
       exhausted = false;
       time = 0;
       cursor = 0;
-      resident = Hashtbl.create 64;
       heap = Evict_heap.create ~num_blocks:64;
-      heap_cap = 64;
-      cache_count = 0;
-      fly_block = -1;
+      fly_slot = -1;
       fly_end = 0;
       reach_cur = 0;
       missing_from = 0;
@@ -358,63 +344,63 @@ let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src =
       demand_fetches = 0;
       refills = 0;
       pulled = 0;
-      hooks = None }
+      clock_skips = 0;
+      clock_units_skipped = 0;
+      pol }
   in
   List.iter
     (fun b ->
-       if Hashtbl.mem t.resident b then invalid_arg "Stream.run: duplicate initial cache block";
-       cache_add t b)
+       if b < 0 then invalid_arg "Stream.run: negative initial cache block";
+       if in_cache t b then invalid_arg "Stream.run: duplicate initial cache block";
+       cache_add t (Win_ref.pin t.wr b))
     initial_cache;
-  if t.cache_count > k then invalid_arg "Stream.run: initial cache exceeds cache size";
+  if cache_count t > k then invalid_arg "Stream.run: initial cache exceeds cache size";
   t
 
 let refill t =
-  let added = ref 0 in
-  let continue = ref true in
-  while !continue && Win_ref.filled t.wr - t.cursor < t.window do
+  let before = Win_ref.filled t.wr in
+  while (not t.exhausted) && Win_ref.filled t.wr - t.cursor < t.window do
     match t.src.pull () with
     | Some b ->
       if b < 0 then invalid_arg (Printf.sprintf "Stream: negative block id %d in source" b);
       let p = Win_ref.filled t.wr in
       Win_ref.push t.wr b;
       if b > t.max_block_seen then t.max_block_seen <- b;
-      ensure_heap_cap t b;
       (* If a resident block just gained its first in-window reference,
          its eviction key drops from horizon to this position. *)
-      if Evict_heap.key_of t.heap b = Win_ref.horizon then Evict_heap.add t.heap ~block:b ~key:p;
-      incr added
-    | None ->
-      t.exhausted <- true;
-      continue := false
+      let s = Win_ref.slot_at t.wr p in
+      if Evict_heap.key_of t.heap s = horizon then
+        Evict_heap.add_ranked t.heap ~block:s ~rank:b ~key:p
+    | None -> t.exhausted <- true
   done;
-  if !added > 0 then begin
+  let added = Win_ref.filled t.wr - before in
+  if added > 0 then begin
     t.refills <- t.refills + 1;
-    t.pulled <- t.pulled + !added;
+    t.pulled <- t.pulled + added;
     if Event_log.enabled () then
       Event_log.record
         (Event_log.Window_refill
-           { time = t.time; cursor = t.cursor; filled = Win_ref.filled t.wr; added = !added })
+           { time = t.time; cursor = t.cursor; filled = Win_ref.filled t.wr; added })
   end
 
 let finished t = t.exhausted && t.cursor >= Win_ref.filled t.wr
 
 let tick_completion t =
-  if t.fly_block >= 0 && t.fly_end = t.time then begin
-    let b = t.fly_block in
-    t.fly_block <- -1;
-    cache_add t b;
+  if t.fly_slot >= 0 && t.fly_end = t.time then begin
+    let s = t.fly_slot in
+    t.fly_slot <- -1;
+    cache_add t s;
+    let b = id t s in
     if Event_log.enabled () then
       Event_log.record (Event_log.Fetch_complete { time = t.time; block = b; disk = 0 });
-    match t.hooks with Some h -> h.on_insert t ~block:b | None -> ()
+    t.pol.on_insert t ~block:b
   end
 
 let fire_on_find t =
   if t.found_upto <= t.cursor && t.cursor < Win_ref.filled t.wr then begin
     t.found_upto <- t.cursor + 1;
-    let b = Win_ref.block_at t.wr t.cursor in
-    match t.hooks with
-    | Some h -> h.on_find t ~block:b ~hit:(Hashtbl.mem t.resident b)
-    | None -> ()
+    let s = Win_ref.slot_at t.wr t.cursor in
+    t.pol.on_find t ~block:(id t s) ~hit:(resident t s)
   end
 
 (* Built-in demand fetch: covers a cursor miss the policy left open.
@@ -422,9 +408,10 @@ let fire_on_find t =
    fetch the next missing block first); it is what lets purely
    speculative history policies run without deadlocking. *)
 let demand_fetch t =
-  if t.fly_block < 0 && t.cursor < Win_ref.filled t.wr then begin
-    let b = Win_ref.block_at t.wr t.cursor in
-    if not (Hashtbl.mem t.resident b) then begin
+  if t.fly_slot < 0 && t.cursor < Win_ref.filled t.wr then begin
+    let s = Win_ref.slot_at t.wr t.cursor in
+    if not (resident t s) then begin
+      let b = id t s in
       let evict =
         if has_free_slot t then None
         else
@@ -437,23 +424,34 @@ let demand_fetch t =
     end
   end
 
-let advance t =
-  let b = Win_ref.block_at t.wr t.cursor in
-  if Hashtbl.mem t.resident b then begin
+(* Serve or stall, then refill the window.  While the disk is busy no
+   fetch can start ([start_fetch] raises), so every instant before the
+   completion is a serve or a stall: serves continue in a tight loop and
+   a stall run jumps straight to the completion instant - the batch
+   Driver's [fast_forward] on one disk. *)
+let rec advance t =
+  fire_on_find t;
+  let s = Win_ref.slot_at t.wr t.cursor in
+  if resident t s then begin
     t.cursor <- t.cursor + 1;
     t.time <- t.time + 1;
     t.reach_cur <- t.time;
     t.served <- t.served + 1;
     Win_ref.drop_below t.wr t.cursor;
-    (* The serve consumed b's nearest reference: re-key to the next one. *)
-    Evict_heap.add t.heap ~block:b ~key:(Win_ref.next_at_or_after t.wr b ~from:t.cursor)
+    (* The serve consumed the block's nearest reference: re-key to the next one. *)
+    Evict_heap.add_ranked t.heap ~block:s ~rank:(id t s)
+      ~key:(Win_ref.slot_next t.wr s ~from:t.cursor);
+    refill t
   end
   else begin
-    if t.fly_block < 0 then
-      internal_error t "stall with idle disk awaiting b%d (engine bug)" b;
-    t.stall <- t.stall + 1;
-    t.time <- t.time + 1
-  end
+    if t.fly_slot < 0 then
+      internal_error t "stall with idle disk awaiting b%d (engine bug)" (id t s);
+    t.clock_skips <- t.clock_skips + 1;
+    t.clock_units_skipped <- t.clock_units_skipped + (t.fly_end - t.time);
+    t.stall <- t.stall + (t.fly_end - t.time);
+    t.time <- t.fly_end
+  end;
+  if t.fly_slot >= 0 && t.time < t.fly_end && not (finished t) then advance t
 
 let flush_stats (t : t) =
   if Telemetry.enabled () then begin
@@ -464,21 +462,21 @@ let flush_stats (t : t) =
     c "stream.refills" t.refills;
     c "stream.fetches" t.fetches;
     c "stream.demand_fetches" t.demand_fetches;
-    c "stream.stall_units" t.stall
+    c "stream.stall_units" t.stall;
+    c "stream.clock_skips" t.clock_skips;
+    c "stream.clock_units_skipped" t.clock_units_skipped
   end
 
 let run ?(record_schedule = false) ?(initial_cache = []) ~k ~fetch_time ~window src
     (pol : policy) : outcome =
-  let t = create ~k ~fetch_time ~window ~record_schedule ~initial_cache src in
-  t.hooks <- Some pol;
+  let t = create ~k ~fetch_time ~window ~record_schedule ~initial_cache src pol in
   refill t;
   while not (finished t) do
     tick_completion t;
     fire_on_find t;
     pol.prefetch t;
     demand_fetch t;
-    advance t;
-    refill t
+    advance t
   done;
   flush_stats t;
   { policy = pol.policy_name;

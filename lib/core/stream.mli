@@ -18,8 +18,10 @@
     At [window = n] (full trace in view) a ported policy produces a
     schedule byte-identical to its batch twin — pinned by the [Stream]
     oracle class in lib/check across the fuzz corpus.  Memory stays
-    O(window + cache) regardless of trace length: no full-trace arrays
-    are ever materialized. *)
+    O(window + cache) regardless of trace length and of the block ids:
+    no full-trace arrays are ever materialized, and blocks are interned
+    into dense slots ({!Win_ref}) rather than indexed by id, so sparse
+    ids (LBAs, hashes, ids near [max_int]) cost what dense ones do. *)
 
 (** {1 Sources} *)
 
@@ -64,9 +66,10 @@ type t
 type policy = {
   policy_name : string;
   prefetch : t -> unit;
-      (** Called once per instant, before the engine's demand fetch.
-          The disk may be busy; use {!disk_busy}.  May call
-          {!start_fetch} at most once (the single disk). *)
+      (** Called at every instant the disk is idle, before the engine's
+          demand fetch; may be skipped while it is busy (no fetch can
+          start then).  May call {!start_fetch} at most once (the single
+          disk). *)
   on_find : t -> block:int -> hit:bool -> unit;
       (** Called exactly once per request, the first instant the cursor
           reaches it — before [prefetch] that instant.  [hit] is
@@ -176,16 +179,21 @@ val run :
   source ->
   policy ->
   outcome
-(** Drive the source to exhaustion under the policy.  Each instant runs
-    [tick_completion; on_find; prefetch; demand fetch; advance; refill]
-    — the batch Reference loop with the window maintenance threaded
-    through it.  The built-in demand fetch covers a cursor miss the
-    policy left open (only when the disk is idle), so purely speculative
-    policies cannot deadlock; for the ported window-omniscient policies
-    it never fires.  [record_schedule] (default [false]) accumulates the
-    {!Fetch_op.t} list — leave it off for endless or huge traces, the
-    engine is otherwise constant-memory.  [initial_cache] pre-populates
-    residency (default cold).
+(** Drive the source to exhaustion under the policy.  Each decision
+    instant runs [tick_completion; on_find; prefetch; demand fetch;
+    advance; refill] — the batch loop with the window maintenance
+    threaded through it.  While the disk is busy the engine skips ahead
+    as the batch Fast engine does: it serves resident cursor blocks
+    (firing [on_find] and refilling) in a tight loop and jumps a stall
+    run straight to the completion instant (telemetry:
+    [stream.clock_skips], [stream.clock_units_skipped]).  The built-in
+    demand fetch covers a cursor miss the policy left open (only when
+    the disk is idle), so purely speculative policies cannot deadlock;
+    for the ported window-omniscient policies it never fires.
+    [record_schedule] (default [false]) accumulates the {!Fetch_op.t}
+    list — leave it off for endless or huge traces, the engine is
+    otherwise constant-memory, O(window + cache).  [initial_cache]
+    pre-populates residency (default cold).
 
     @raise Invalid_argument if [k < 1], [fetch_time < 1], [window < 1],
     the initial cache is invalid, or the source yields a negative id. *)

@@ -1,10 +1,13 @@
 (* Lazy-invalidation max-heap of eviction candidates.
 
    Backs Driver.furthest_cached: one entry per resident block, keyed by
-   the position of the block's next reference, ordered (key desc, block
+   the position of the block's next reference, ordered (key desc, rank
    asc) so the heap top is exactly what the seed driver's ascending-id
    strict-> scan over all blocks returned - the largest key, ties broken
-   towards the smallest block id.
+   towards the smallest block id.  The rank is the block itself unless
+   the caller names blocks by a dense index of its own (the streaming
+   engine's slots) and passes the raw id as the rank; it is stored with
+   each heap entry, so a recycled index never reorders old entries.
 
    Invalidation is lazy: [remove] and re-keying [add]s only bump the
    block's stamp; superseded entries stay in the heap and are discarded
@@ -14,13 +17,14 @@
    callers that push (serve re-keys) much more often than they peek. *)
 
 type t = {
-  mutable key : int array;   (* heap slot -> key *)
-  mutable blk : int array;   (* heap slot -> block *)
-  mutable stp : int array;   (* heap slot -> stamp at push time *)
+  mutable key : int array;     (* heap slot -> key *)
+  mutable rnk : int array;     (* heap slot -> tie-break rank *)
+  mutable blk : int array;     (* heap slot -> block *)
+  mutable stp : int array;     (* heap slot -> stamp at push time *)
   mutable len : int;
-  stamp : int array;         (* block -> current stamp; entries with an older stamp are stale *)
-  key_of : int array;        (* block -> its live key, or -1 if not in the heap *)
-  mutable live : int;        (* number of blocks with a live entry *)
+  mutable stamp : int array;   (* block -> current stamp; entries with an older stamp are stale *)
+  mutable key_of : int array;  (* block -> its live key, or -1 if not in the heap *)
+  mutable live : int;          (* number of blocks with a live entry *)
   (* Lifetime stats, unconditionally maintained (plain int increments);
      the driver flushes them into telemetry counters once per run. *)
   mutable pushes : int;
@@ -30,6 +34,7 @@ type t = {
 
 let create ~num_blocks =
   { key = Array.make 16 0;
+    rnk = Array.make 16 0;
     blk = Array.make 16 0;
     stp = Array.make 16 0;
     len = 0;
@@ -42,18 +47,18 @@ let create ~num_blocks =
 
 let size t = t.live
 let heap_load t = t.len
-let mem t block = t.key_of.(block) >= 0
-let key_of t block = t.key_of.(block)
+let key_of t block = if block >= 0 && block < Array.length t.key_of then t.key_of.(block) else -1
+let mem t block = key_of t block >= 0
 
-(* Max-heap order: larger key first; among equal keys, smaller block id
+(* Max-heap order: larger key first; among equal keys, smaller rank
    first (the seed scan's tie-break). *)
 let beats t i j =
-  t.key.(i) > t.key.(j) || (t.key.(i) = t.key.(j) && t.blk.(i) < t.blk.(j))
+  t.key.(i) > t.key.(j) || (t.key.(i) = t.key.(j) && t.rnk.(i) < t.rnk.(j))
 
 let swap t i j =
-  let k = t.key.(i) and b = t.blk.(i) and s = t.stp.(i) in
-  t.key.(i) <- t.key.(j); t.blk.(i) <- t.blk.(j); t.stp.(i) <- t.stp.(j);
-  t.key.(j) <- k; t.blk.(j) <- b; t.stp.(j) <- s
+  let k = t.key.(i) and r = t.rnk.(i) and b = t.blk.(i) and s = t.stp.(i) in
+  t.key.(i) <- t.key.(j); t.rnk.(i) <- t.rnk.(j); t.blk.(i) <- t.blk.(j); t.stp.(i) <- t.stp.(j);
+  t.key.(j) <- k; t.rnk.(j) <- r; t.blk.(j) <- b; t.stp.(j) <- s
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -78,14 +83,15 @@ let grow t =
   let cap = 2 * Array.length t.key in
   let resize a = Array.append a (Array.make (cap - Array.length a) 0) in
   t.key <- resize t.key;
+  t.rnk <- resize t.rnk;
   t.blk <- resize t.blk;
   t.stp <- resize t.stp
 
-let push t ~key ~block ~stamp =
+let push t ~key ~rank ~block ~stamp =
   t.pushes <- t.pushes + 1;
   if t.len = Array.length t.key then grow t;
   let i = t.len in
-  t.key.(i) <- key; t.blk.(i) <- block; t.stp.(i) <- stamp;
+  t.key.(i) <- key; t.rnk.(i) <- rank; t.blk.(i) <- block; t.stp.(i) <- stamp;
   t.len <- t.len + 1;
   sift_up t i
 
@@ -98,7 +104,8 @@ let compact t =
   let w = ref 0 in
   for r = 0 to t.len - 1 do
     if not (is_stale t r) then begin
-      t.key.(!w) <- t.key.(r); t.blk.(!w) <- t.blk.(r); t.stp.(!w) <- t.stp.(r);
+      t.key.(!w) <- t.key.(r); t.rnk.(!w) <- t.rnk.(r);
+      t.blk.(!w) <- t.blk.(r); t.stp.(!w) <- t.stp.(r);
       incr w
     end
   done;
@@ -109,19 +116,30 @@ let compact t =
 
 let maybe_compact t = if t.len > 64 && t.len > 2 * t.live then compact t
 
-let add t ~block ~key =
+(* Per-block arrays double past the largest block added, so callers
+   that hand out dense indices incrementally need not size the heap. *)
+let grow_blocks t block =
+  let cap = Stdlib.max (block + 1) (2 * Array.length t.stamp) in
+  let extend a fill = Array.append a (Array.make (cap - Array.length a) fill) in
+  t.stamp <- extend t.stamp 0;
+  t.key_of <- extend t.key_of (-1)
+
+let add_ranked t ~block ~rank ~key =
   (* key_of uses -1 as its "no live entry" sentinel, so a negative key
      would make the entry unremovable (and double-count [live]); reject
      it loudly rather than corrupt the heap. *)
   if key < 0 then invalid_arg "Evict_heap.add: key must be >= 0";
+  if block >= Array.length t.stamp then grow_blocks t block;
   if t.key_of.(block) < 0 then t.live <- t.live + 1;
   t.stamp.(block) <- t.stamp.(block) + 1;
   t.key_of.(block) <- key;
-  push t ~key ~block ~stamp:t.stamp.(block);
+  push t ~key ~rank ~block ~stamp:t.stamp.(block);
   maybe_compact t
 
+let add t ~block ~key = add_ranked t ~block ~rank:block ~key
+
 let remove t ~block =
-  if t.key_of.(block) >= 0 then begin
+  if mem t block then begin
     t.key_of.(block) <- -1;
     t.live <- t.live - 1;
     t.stamp.(block) <- t.stamp.(block) + 1
@@ -131,6 +149,7 @@ let pop_top t =
   t.len <- t.len - 1;
   if t.len > 0 then begin
     t.key.(0) <- t.key.(t.len);
+    t.rnk.(0) <- t.rnk.(t.len);
     t.blk.(0) <- t.blk.(t.len);
     t.stp.(0) <- t.stp.(t.len);
     sift_down t 0

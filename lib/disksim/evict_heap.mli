@@ -2,8 +2,10 @@
 
     One live entry per block, keyed by the position of the block's next
     reference; [peek] returns the entry with the largest key, ties broken
-    towards the smallest block id - exactly the winner of the seed
-    driver's ascending-id strict-[>] scan in [furthest_cached].
+    towards the smallest rank - by default the block id itself, exactly
+    the winner of the seed driver's ascending-id strict-[>] scan in
+    [furthest_cached].  Blocks are non-negative indices; the per-block
+    arrays grow past the largest block added.
 
     [remove] and re-keying [add]s invalidate lazily (a per-block stamp
     bump); superseded entries are discarded when they surface at the top
@@ -23,16 +25,24 @@ val add : t -> block:int -> key:int -> unit
     accounting (callers with signed scores must bias them, as Online's
     recency keys do). *)
 
+val add_ranked : t -> block:int -> rank:int -> key:int -> unit
+(** {!add} with an explicit tie-break rank: among equal keys the
+    smaller rank wins.  For callers whose [block] is a recycled dense
+    index standing for some other id (the streaming engine passes the
+    raw block id); the rank is stored with the entry, so reusing an
+    index never reorders entries pushed before. *)
+
 val remove : t -> block:int -> unit
 (** Drop [block]'s live entry, if any (lazy: the heap node dies later). *)
 
 val peek : t -> (int * int) option
-(** [(block, key)] with the maximum key (ties: smallest block), or
+(** [(block, key)] with the maximum key (ties: smallest rank), or
     [None] if no live entries remain. *)
 
 val mem : t -> int -> bool
 val key_of : t -> int -> int
-(** The block's live key, or [-1] if it has no live entry. *)
+(** The block's live key, or [-1] if it has no live entry (as for any
+    index never added, negative ones included). *)
 
 val size : t -> int
 (** Number of live entries. *)

@@ -1,18 +1,26 @@
-(* Sliding-window next-reference index for the streaming engine.
+(* Sliding-window next-reference index and block interner for the
+   streaming engine.
 
    The batch engine precomputes {!Next_ref} over the whole sequence; a
    streaming scheduler only ever knows the requests inside its bounded
    lookahead window [cursor, filled).  This structure maintains exactly
    that knowledge in O(window) memory:
 
-   - a circular buffer of the window's request blocks by absolute
-     position (so [block_at] is O(1)), and
-   - per-block ascending position deques (so next/previous-reference
+   - every raw block id gets a dense {e slot} the first time it is
+     pushed (one hash lookup); everything below is indexed by slot, so
+     ids may be arbitrarily sparse (LBAs, hashes) without arrays sized
+     by the largest id;
+   - a circular buffer of the window's slots by absolute position (so
+     [block_at] / [slot_at] are O(1)), and
+   - per-slot ascending position deques (so next/previous-reference
      queries are binary searches over a block's in-window occurrences).
 
    Amortized O(1) per pushed/consumed position: when the window's low
    edge advances past a position, that position is popped from the front
-   of its block's deque, so dead entries never accumulate.
+   of its slot's deque, so dead entries never accumulate.  A slot is
+   recycled once its block has no in-window position and no pin; the
+   engine pins the blocks it holds (resident or in flight), so live slots
+   number at most window + cache + 1.
 
    Positions at or beyond the window edge are unknowable; queries answer
    {!horizon} ("not referenced within the lookahead"), which comparisons
@@ -20,30 +28,32 @@
 
 let horizon = max_int
 
-(* Growable circular int deque (ascending absolute positions). *)
+(* Growable circular int deque of ascending absolute positions.  The
+   capacity is a power of two and shrinks when a quarter full, so a
+   deque holds O(len) words whatever its history. *)
 type dq = { mutable a : int array; mutable head : int; mutable len : int }
 
 let dq_create () = { a = Array.make 4 0; head = 0; len = 0 }
-let dq_get q i = q.a.((q.head + i) mod Array.length q.a)
+let dq_get q i = q.a.((q.head + i) land (Array.length q.a - 1))
+
+let dq_resize q cap =
+  let a' = Array.make cap 0 in
+  for i = 0 to q.len - 1 do
+    a'.(i) <- dq_get q i
+  done;
+  q.a <- a';
+  q.head <- 0
 
 let dq_push_back q v =
-  let cap = Array.length q.a in
-  if q.len = cap then begin
-    let a' = Array.make (2 * cap) 0 in
-    for i = 0 to q.len - 1 do
-      a'.(i) <- dq_get q i
-    done;
-    q.a <- a';
-    q.head <- 0
-  end;
-  q.a.((q.head + q.len) mod Array.length q.a) <- v;
+  if q.len = Array.length q.a then dq_resize q (2 * q.len);
+  q.a.((q.head + q.len) land (Array.length q.a - 1)) <- v;
   q.len <- q.len + 1
 
 let dq_pop_front q =
-  let v = q.a.(q.head) in
-  q.head <- (q.head + 1) mod Array.length q.a;
+  q.head <- (q.head + 1) land (Array.length q.a - 1);
   q.len <- q.len - 1;
-  v
+  let cap = Array.length q.a in
+  if cap > 4 && 4 * q.len <= cap then dq_resize q (cap / 2)
 
 (* First index with value >= [x], or [len]. *)
 let dq_lower_bound q x =
@@ -54,24 +64,106 @@ let dq_lower_bound q x =
   done;
   !lo
 
+(* Raw id -> slot.  Ids are arbitrary ints (LBAs, hashes): a
+   multiplicative mix spreads them over the low bits the table indexes
+   by. *)
+module Ids = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    let hash x =
+      let h = x * 0x1e3779b97f4a7c15 in
+      h lxor (h lsr 29)
+  end)
+
 type t = {
-  mutable buf : int array;  (* circular by absolute position *)
+  mutable buf : int array;  (* circular by absolute position: the slot requested there *)
   mutable lo : int;  (* lowest retained absolute position *)
   mutable hi : int;  (* next absolute position to be pushed *)
-  pos : (int, dq) Hashtbl.t;  (* block -> ascending in-window positions *)
+  slot_of_id : int Ids.t;  (* raw id -> slot, live slots only *)
+  mutable id : int array;  (* slot -> raw id *)
+  mutable pos : dq array;  (* slot -> ascending in-window positions *)
+  mutable pins : int array;  (* slot -> pin count *)
+  mutable free : int array;  (* stack of recycled slots, [0, nfree) *)
+  mutable nfree : int;
+  mutable nslots : int;  (* slots ever handed out: [0, nslots) *)
 }
 
-let create () = { buf = Array.make 64 0; lo = 0; hi = 0; pos = Hashtbl.create 64 }
+let create () =
+  { buf = Array.make 64 0;
+    lo = 0;
+    hi = 0;
+    slot_of_id = Ids.create 64;
+    id = Array.make 64 0;
+    pos = Array.init 64 (fun _ -> dq_create ());
+    pins = Array.make 64 0;
+    free = Array.make 64 0;
+    nfree = 0;
+    nslots = 0 }
 
 let lo t = t.lo
 let filled t = t.hi
 let size t = t.hi - t.lo
+let live_slots t = t.nslots - t.nfree
+
+let grow_slots t =
+  let cap = Array.length t.id in
+  let extend a fill = Array.append a (Array.make cap fill) in
+  t.id <- extend t.id 0;
+  t.pins <- extend t.pins 0;
+  t.free <- extend t.free 0;
+  t.pos <- Array.append t.pos (Array.init cap (fun _ -> dq_create ()))
+
+let fresh t b =
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      if t.nslots = Array.length t.id then grow_slots t;
+      t.nslots <- t.nslots + 1;
+      t.nslots - 1
+    end
+  in
+  t.id.(s) <- b;
+  Ids.add t.slot_of_id b s;
+  s
+
+let intern t b = match Ids.find t.slot_of_id b with s -> s | exception Not_found -> fresh t b
+
+let release_if_dead t s =
+  if t.pos.(s).len = 0 && t.pins.(s) = 0 then begin
+    Ids.remove t.slot_of_id t.id.(s);
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+  end
+
+let slot_of t b = match Ids.find t.slot_of_id b with s -> s | exception Not_found -> -1
+let id_of_slot t s = t.id.(s)
+
+let pin t b =
+  let s = intern t b in
+  t.pins.(s) <- t.pins.(s) + 1;
+  s
+
+let unpin t s =
+  if t.pins.(s) <= 0 then invalid_arg (Printf.sprintf "Win_ref.unpin: slot %d is not pinned" s);
+  t.pins.(s) <- t.pins.(s) - 1;
+  release_if_dead t s
+
+let check_pos fn t p =
+  if p < t.lo || p >= t.hi then
+    invalid_arg (Printf.sprintf "Win_ref.%s: position %d outside window [%d, %d)" fn p t.lo t.hi)
+
+let slot_at t p =
+  check_pos "slot_at" t p;
+  t.buf.(p land (Array.length t.buf - 1))
 
 let block_at t p =
-  if p < t.lo || p >= t.hi then
-    invalid_arg
-      (Printf.sprintf "Win_ref.block_at: position %d outside window [%d, %d)" p t.lo t.hi);
-  t.buf.(p mod Array.length t.buf)
+  check_pos "block_at" t p;
+  t.id.(t.buf.(p land (Array.length t.buf - 1)))
 
 let push t b =
   let cap = Array.length t.buf in
@@ -79,43 +171,40 @@ let push t b =
     let cap' = 2 * cap in
     let buf' = Array.make cap' 0 in
     for p = t.lo to t.hi - 1 do
-      buf'.(p mod cap') <- t.buf.(p mod cap)
+      buf'.(p land (cap' - 1)) <- t.buf.(p land (cap - 1))
     done;
     t.buf <- buf'
   end;
-  t.buf.(t.hi mod Array.length t.buf) <- b;
-  let q =
-    match Hashtbl.find_opt t.pos b with
-    | Some q -> q
-    | None ->
-      let q = dq_create () in
-      Hashtbl.add t.pos b q;
-      q
-  in
-  dq_push_back q t.hi;
+  let s = intern t b in
+  t.buf.(t.hi land (Array.length t.buf - 1)) <- s;
+  dq_push_back t.pos.(s) t.hi;
   t.hi <- t.hi + 1
 
 let drop_below t cursor =
   while t.lo < cursor do
-    let b = t.buf.(t.lo mod Array.length t.buf) in
-    (match Hashtbl.find_opt t.pos b with
-     | Some q ->
-       ignore (dq_pop_front q : int);
-       if q.len = 0 then Hashtbl.remove t.pos b
-     | None -> ());
+    let s = t.buf.(t.lo land (Array.length t.buf - 1)) in
+    dq_pop_front t.pos.(s);
+    release_if_dead t s;
     t.lo <- t.lo + 1
   done
 
-let next_at_or_after t b ~from =
-  match Hashtbl.find_opt t.pos b with
-  | None -> horizon
-  | Some q ->
+let slot_next t s ~from =
+  let q = t.pos.(s) in
+  if q.len = 0 then horizon
+  else if dq_get q 0 >= from then dq_get q 0
+  else
     let i = dq_lower_bound q from in
     if i >= q.len then horizon else dq_get q i
 
+let slot_prev t s ~before =
+  let q = t.pos.(s) in
+  let i = dq_lower_bound q before in
+  if i = 0 then -1 else dq_get q (i - 1)
+
+let next_at_or_after t b ~from =
+  let s = slot_of t b in
+  if s < 0 then horizon else slot_next t s ~from
+
 let prev_before t b ~before =
-  match Hashtbl.find_opt t.pos b with
-  | None -> -1
-  | Some q ->
-    let i = dq_lower_bound q before in
-    if i = 0 then -1 else dq_get q (i - 1)
+  let s = slot_of t b in
+  if s < 0 then -1 else slot_prev t s ~before

@@ -195,10 +195,187 @@ let prop_never_beats_opt =
         (P.names ()))
 
 (* ------------------------------------------------------------------ *)
+(* Source contract: once a source has returned [None] the engine never
+   pulls it again. *)
+
+let test_no_pull_after_none () =
+  List.iter
+    (fun (pname, window) ->
+      let rest = ref [ 0; 1; 2; 0; 3; 1; 4; 0; 2 ] and ended = ref false in
+      let src =
+        S.source ~name:"counting" (fun () ->
+            if !ended then Alcotest.failf "%s w=%d: source pulled after None" pname window;
+            match !rest with
+            | [] ->
+              ended := true;
+              None
+            | b :: tl ->
+              rest := tl;
+              Some b)
+      in
+      let build = Option.get (P.find pname) in
+      let out = S.run ~k:2 ~fetch_time:3 ~window src (build ~fetch_time:3) in
+      Alcotest.(check int) (Printf.sprintf "%s w=%d served" pname window) 9 out.S.served)
+    (List.concat_map (fun p -> [ (p, 1); (p, 4); (p, 64) ]) (P.names ()))
+
+(* ------------------------------------------------------------------ *)
+(* Sparse block ids.  The engine names blocks by interned slots, so
+   nothing depends on the size of the ids. *)
+
+(* Strictly increasing ids for blocks [0, n): counting up from a small
+   base, or down from [max_int]. *)
+let relabelling ~near_top gaps =
+  let gaps = Array.of_list gaps in
+  let n = Array.length gaps in
+  let ids = Array.make n 0 in
+  if near_top then begin
+    ids.(n - 1) <- max_int - gaps.(n - 1);
+    for i = n - 2 downto 0 do
+      ids.(i) <- ids.(i + 1) - gaps.(i)
+    done
+  end
+  else begin
+    ids.(0) <- gaps.(0) - 1;
+    for i = 1 to n - 1 do
+      ids.(i) <- ids.(i - 1) + gaps.(i)
+    done
+  end;
+  ids
+
+(* Every policy but [obl], whose b -> b+1 prediction is not invariant
+   under relabelling by design. *)
+let prop_relabel_invariant =
+  QCheck2.Test.make ~count:200 ~name:"order-preserving relabels give relabelled schedules"
+    QCheck2.Gen.(
+      triple (gen_instance ()) (int_range 1 24)
+        (pair bool (list_size (return 8) (int_range 1 (1 lsl 40)))))
+    (fun (inst, w, (near_top, gaps)) ->
+      let ids = relabelling ~near_top gaps in
+      let f b = ids.(b) in
+      let relabelled =
+        { inst with
+          Instance.seq = Array.map f inst.Instance.seq;
+          initial_cache = List.map f inst.Instance.initial_cache }
+      in
+      List.for_all
+        (fun pname ->
+          let build = Option.get (P.find pname) in
+          let ft = inst.Instance.fetch_time in
+          let a = stream_run ~window:w (build ~fetch_time:ft) inst in
+          let b = stream_run ~window:w (build ~fetch_time:ft) relabelled in
+          let mapped =
+            Option.map
+              (List.map (fun (op : Fetch_op.t) ->
+                   { op with Fetch_op.block = f op.Fetch_op.block;
+                             evict = Option.map f op.Fetch_op.evict }))
+              a.S.schedule
+          in
+          if
+            (a.S.stall_time, a.S.elapsed_time, a.S.fetches)
+            <> (b.S.stall_time, b.S.elapsed_time, b.S.fetches)
+            || mapped <> b.S.schedule
+          then
+            QCheck2.Test.fail_reportf "%s at w=%d (near_top=%b): relabelled run differs on %s"
+              pname w near_top
+              (Format.asprintf "%a" Instance.pp inst)
+          else true)
+        (List.filter (fun p -> p <> "obl") (P.names ())))
+
+(* A 10^5-request stream with ids spread over [0, 2^50) needs no more
+   heap than the same stream with dense ids. *)
+let test_sparse_ids_bounded_memory () =
+  let n = 100_000 in
+  let dense = Workload.zipf ~seed:3 ~alpha:0.9 ~n ~num_blocks:4096 in
+  (* An odd multiplier is a bijection modulo 2^50. *)
+  let sparse = Array.map (fun b -> ((b * 0x5bd1e995) + 0x3c6ef372) land ((1 lsl 50) - 1)) dense in
+  let run seq = S.run ~k:64 ~fetch_time:8 ~window:64 (S.of_array seq) (P.aggressive ()) in
+  let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+  Gc.compact ();
+  let base = top () in
+  let d = run dense in
+  let top_dense = top () in
+  let s = run sparse in
+  let top_sparse = top () in
+  Alcotest.(check (pair int int)) "same stall and fetches" (d.S.stall_time, d.S.fetches)
+    (s.S.stall_time, s.S.fetches);
+  let slack = 1 lsl 16 in
+  if top_sparse > top_dense + slack then
+    Alcotest.failf "sparse ids raised top heap to %d words, dense ids to %d (from %d; slack %d)"
+      top_sparse top_dense base slack
+
+(* The CLI streams a trace whose ids are far beyond any array size. *)
+let ipc_exe = List.find_opt Sys.file_exists [ "../bin/ipc.exe"; "_build/default/bin/ipc.exe" ]
+
+let test_huge_id_trace_cli () =
+  let exe = match ipc_exe with Some e -> e | None -> Alcotest.fail "ipc.exe not built" in
+  let trace = Filename.temp_file "huge_ids" ".trace" in
+  let out = Filename.temp_file "huge_ids" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace; Sys.remove out)
+    (fun () ->
+      Out_channel.with_open_text trace (fun oc ->
+          output_string oc "k 2\nf 3\n";
+          output_string oc "seq 1 4000000000000 2 1 4000000000000 3 2 1 4000000000000 5 1\n");
+      let code =
+        Sys.command
+          (Printf.sprintf "%s stream --file %s > %s 2>&1" (Filename.quote exe)
+             (Filename.quote trace) (Filename.quote out))
+      in
+      let text = In_channel.with_open_text out In_channel.input_all in
+      if code <> 0 then Alcotest.failf "ipc stream exited %d:\n%s" code text;
+      Alcotest.(check bool) ("served all 11 requests:\n" ^ text) true
+        (List.exists (String.starts_with ~prefix:"served=11 ") (String.split_on_char '\n' text)))
+
+(* The interner recycles a slot once its block has left the window and
+   holds no pin. *)
+let test_win_ref_slots () =
+  let w = Win_ref.create () in
+  let pinned = Win_ref.pin w 7 in
+  for i = 0 to 9_999 do
+    Win_ref.push w (i * 1_000_000_007);
+    Win_ref.drop_below w (i - 7)
+  done;
+  Alcotest.(check bool) "live slots bounded by window + pins" true (Win_ref.live_slots w <= 9);
+  Alcotest.(check int) "pinned block keeps its slot" pinned (Win_ref.slot_of w 7);
+  Alcotest.(check int) "raw queries see raw ids" 9_998
+    (Win_ref.next_at_or_after w (9_998 * 1_000_000_007) ~from:0);
+  Win_ref.unpin w pinned;
+  Alcotest.(check int) "unpinned, out of window: recycled" (-1) (Win_ref.slot_of w 7)
+
+(* The event-skipping clock only ever jumps stall runs. *)
+let test_clock_skip_counters () =
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun pname ->
+          Telemetry.reset ();
+          let build = Option.get (P.find pname) in
+          let out =
+            S.run ~k:8 ~fetch_time:6 ~window:16
+              (S.take 5000 (S.zipf ~seed:2 ~alpha:0.8 ~num_blocks:64))
+              (build ~fetch_time:6)
+          in
+          let counter name =
+            match Telemetry.find name with
+            | Some (Telemetry.Counter v) -> v
+            | _ -> Alcotest.failf "%s: counter %s missing" pname name
+          in
+          let skips = counter "stream.clock_skips" in
+          let units = counter "stream.clock_units_skipped" in
+          Alcotest.(check int) (pname ^ ": stall counter") out.S.stall_time
+            (counter "stream.stall_units");
+          Alcotest.(check bool) (pname ^ ": skips happen") true (skips > 0);
+          Alcotest.(check bool) (pname ^ ": skipped units <= stall") true
+            (skips <= units && units <= out.S.stall_time))
+        (P.names ()))
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_full_window_byte_identical; prop_bounded_window_replays; prop_window_saturates;
-    prop_never_beats_opt ]
+    prop_never_beats_opt; prop_relabel_invariant ]
 
 let () =
   Alcotest.run "stream"
@@ -206,6 +383,13 @@ let () =
        [ Alcotest.test_case "generator twins" `Quick test_source_twins;
          Alcotest.test_case "take / exhaustion" `Quick test_take_and_exhaustion ]);
       ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
+      ("engine",
+       [ Alcotest.test_case "no pull after None" `Quick test_no_pull_after_none;
+         Alcotest.test_case "win_ref slot recycling" `Quick test_win_ref_slots;
+         Alcotest.test_case "clock skips within stall" `Quick test_clock_skip_counters ]);
+      ("sparse-ids",
+       [ Alcotest.test_case "bounded memory at ids < 2^50" `Quick test_sparse_ids_bounded_memory;
+         Alcotest.test_case "ipc stream --file with id 4e12" `Quick test_huge_id_trace_cli ]);
       ("equivalence",
        Alcotest.test_case "ck_gen corpus full-window + replay" `Slow test_corpus_full_window
        :: qsuite) ]
