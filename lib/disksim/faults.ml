@@ -155,18 +155,19 @@ let pp fmt t =
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic draws: splitmix64 finalizer over the attempt identity,
-   one hash-split stream per concern. *)
+   one hash-split stream per concern.  The hash helpers are inlined so
+   that [draw]'s Int64 chain stays unboxed without flambda. *)
 
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 33)) 0xff51afd7ed558ccdL in
   let z = mul (logxor z (shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
   logxor z (shift_right_logical z 33)
 
-let combine h v = mix64 (Int64.add (Int64.logxor h (Int64.of_int v)) 0x9e3779b97f4a7c15L)
+let[@inline] combine h v = mix64 (Int64.add (Int64.logxor h (Int64.of_int v)) 0x9e3779b97f4a7c15L)
 
 (* A uniform float in [0,1) from the top 53 bits. *)
-let u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
+let[@inline] u01 h = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
 
 (* Concern tags: folding a distinct tag into the hash before the attempt
    identity derives an independent stream per concern, so one concern's
@@ -176,7 +177,7 @@ let tag_jitter_size = 0x4a53 (* "JS" *)
 let tag_fail = 0x464c (* "FL" *)
 let tag_latency = 0x4c54 (* "LT" *)
 
-let stream t ~tag ~disk ~block ~attempt ~start =
+let[@inline] stream t ~tag ~disk ~block ~attempt ~start =
   combine
     (combine (combine (combine (combine (mix64 (Int64.of_int t.seed)) tag) disk) block) attempt)
     start
@@ -203,15 +204,22 @@ let latency_base t ~fetch_time ~disk ~block ~attempt ~start =
     let x = fxm /. ((1.0 -. (u *. (1.0 -. r))) ** (1.0 /. alpha)) in
     max xm (min cap (int_of_float x))
 
+let[@inline] roll t ~tag ~disk ~block ~attempt ~start =
+  u01 (stream t ~tag ~disk ~block ~attempt ~start)
+
 let draw t ~fetch_time ~disk ~block ~attempt ~start =
-  let roll tag = u01 (stream t ~tag ~disk ~block ~attempt ~start) in
   let base = latency_base t ~fetch_time ~disk ~block ~attempt ~start in
   let extra =
-    if t.jitter_prob > 0.0 && roll tag_jitter_roll < t.jitter_prob then
-      1 + int_of_float (roll tag_jitter_size *. float_of_int t.max_jitter) |> min t.max_jitter
+    if t.jitter_prob > 0.0 && roll t ~tag:tag_jitter_roll ~disk ~block ~attempt ~start < t.jitter_prob
+    then
+      1
+      + int_of_float
+          (roll t ~tag:tag_jitter_size ~disk ~block ~attempt ~start *. float_of_int t.max_jitter)
+      |> min t.max_jitter
     else 0
   in
-  { duration = base + extra; failed = t.fail_prob > 0.0 && roll tag_fail < t.fail_prob }
+  { duration = base + extra;
+    failed = t.fail_prob > 0.0 && roll t ~tag:tag_fail ~disk ~block ~attempt ~start < t.fail_prob }
 
 let max_latency t ~fetch_time =
   match t.latency with

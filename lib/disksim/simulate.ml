@@ -45,7 +45,30 @@
 
    {!Delayed.run} is the same loop with delayed-hit parking switched on
    by its [window] and a second degraded-mode start policy (defer, never
-   drop); see [policy] below. *)
+   drop); see [policy] below.
+
+   The loop's clock moves from event to event, not unit by unit.  A serve
+   or a park takes one round per request, but a stall lasts, unchanged,
+   until the next instant at which the state can change: the earliest
+   in-flight completion, armed start, due retry, outage transition, or
+   the instant past the deadlock horizon.  The loop crosses such a run in
+   one step and charges it in bulk: to the stall time, to the attributed
+   fetch, and to the fault stall for exactly the units the per-unit rule
+   counts (on a slowed attempt, those at or after its start + F).  It
+   emits one [Stall] event per unit only when events are recorded.  One
+   exception keeps the per-unit behaviour: when a launch in this
+   instant's global-defer pass follows ops the pass left waiting, one of
+   them may have become startable (the launch evicted the block it
+   refetches, say) with no completion in between, so the clock steps a
+   single unit and the next instant's pass retries it.
+
+   The loop's bookkeeping is flat int state.  Pending ops are one array
+   of op indexes in anchor order, consumed by a pointer as the cursor
+   advances.  Armed ops sit in an int min-heap keyed by start time, ties
+   broken by anchor, delay, disk and schedule position.  The
+   degraded-mode queues are int FIFOs; the global one is rescanned from
+   its head only after a launch, completion or interrupt, and otherwise
+   only its newcomers are tried. *)
 
 type event =
   | Serve of { time : int; index : int; block : Instance.block }
@@ -171,6 +194,37 @@ let redraw = 8  (* an outage interrupted the attempt: relaunch redraws it *)
 let has flags i flag = flags.(i) land flag <> 0
 let set flags i flag on = flags.(i) <- (if on then flags.(i) lor flag else flags.(i) land lnot flag)
 
+(* Stall runs the clock crossed in one step, and the instants it thereby
+   never visited; bumped by every executor, flushed once per run. *)
+let m_clock_skips = Telemetry.counter "simulate.clock_skips"
+let m_clock_units = Telemetry.counter "simulate.clock_units_skipped"
+
+(* A growable FIFO of op indexes: the live entries are
+   [a.(head) .. a.(tail - 1)], oldest first. *)
+type fifo = { mutable a : int array; mutable head : int; mutable tail : int }
+
+let fifo_create () = { a = [||]; head = 0; tail = 0 }
+let fifo_length q = q.tail - q.head
+
+let fifo_push q x =
+  if q.tail = Array.length q.a then begin
+    (* Full at the back: slide the live entries to the front, into a
+       buffer twice their size once they fill half of the old one. *)
+    let len = fifo_length q in
+    let a = if 2 * len < Array.length q.a then q.a else Array.make (max 8 (2 * len)) 0 in
+    Array.blit q.a q.head a 0 len;
+    q.a <- a;
+    q.head <- 0;
+    q.tail <- len
+  end;
+  q.a.(q.tail) <- x;
+  q.tail <- q.tail + 1
+
+let fifo_pop q =
+  let x = q.a.(q.head) in
+  q.head <- q.head + 1;
+  x
+
 (* [extra_slots] extends capacity beyond k (the paper's parallel algorithm
    is allowed 2(D-1) extra locations).  [record_events] controls whether the
    full event trace is accumulated (examples want it; sweeps do not).
@@ -182,7 +236,8 @@ let set flags i flag on = flags.(i) <- (if on then flags.(i) lor flag else flags
    {!Delayed.run}.  Fault-mode behaviour is gated on [faulty] and parking
    on [window > 0], so with [Faults.none] and [window = 0] the executed
    path is exactly the strict fault-free executor.  [on_park] sees every
-   delayed hit. *)
+   delayed hit.  The clock and the state layout are described at the top
+   of this file. *)
 let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Faults.t) ~on_park
     (inst : Instance.t) (schedule : Fetch_op.schedule) : (stats * Faults.report, error) Result.t =
   let n = Instance.length inst in
@@ -246,11 +301,17 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
     let nqueues =
       if strict then 0 else match policy with Drop_per_disk -> num_disks | Defer_global -> 1
     in
-    let queues = Array.init nqueues (fun _ -> Queue.create ()) in
+    let queues = Array.init nqueues (fun _ -> fifo_create ()) in
     let queue_of i =
       match policy with Drop_per_disk -> queues.(ops.(i).Fetch_op.disk) | Defer_global -> queues.(0)
     in
     let queued = ref 0 in
+    (* Whether a launch, completion or interrupt changed the state since
+       the last [Defer_global] pass began: only then can an op that pass
+       left waiting have become startable.  The first [tested] entries of
+       the global FIFO have been tried since that change. *)
+    let dirty = ref false in
+    let tested = ref 0 in
     (* Failed attempts in backoff: (ready_time, op_index), sorted. *)
     let retryq = ref [] in
     let retryq_add ready i =
@@ -261,10 +322,11 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       in
       retryq := ins !retryq
     in
-    (* Parked requests per in-flight op, newest first (empty arrays unless
-       parking is on). *)
+    (* Parked requests per in-flight op: their number (arrays empty unless
+       parking is on) and, only for the [Serve] events of their release,
+       the requests themselves, newest first. *)
     let psz = if window > 0 then nops else 0 in
-    let waiters = Array.make psz [] in
+    let waiters = Array.make (if record_events then psz else 0) [] in
     let waiter_count = Array.make psz 0 in
     let parked_count = ref 0 in
     (* Fault report accumulators. *)
@@ -273,44 +335,91 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
     let f_dropped = ref 0 and f_skipped_evict = ref 0 and f_stall = ref 0 in
     let fevents = ref [] in
     let fevent e = fevents := e :: !fevents in
-    (* Pending fetches grouped by anchor cursor, held as bare op indexes
-       (immediate ints) so the bookkeeping allocates exactly what the
-       un-instrumented executor did; [ops.(i)] recovers the fetch. *)
-    let by_cursor = Array.make (n + 1) [] in
-    Array.iteri
-      (fun i f -> by_cursor.(f.Fetch_op.at_cursor) <- i :: by_cursor.(f.Fetch_op.at_cursor))
-      ops;
+    (* Pending fetches: op indexes sorted by anchor cursor.  The loop
+       reaches the cursors 0, 1, ..., n in order, each once, so arming
+       the ops of cursor [c] just takes them from [next_pending] on.
+       Schedules usually come in anchor order; only the others are
+       sorted. *)
+    let pending = Array.init nops Fun.id in
+    let in_order = ref true in
+    for i = 1 to nops - 1 do
+      if ops.(i).Fetch_op.at_cursor < ops.(i - 1).Fetch_op.at_cursor then in_order := false
+    done;
+    if not !in_order then
+      Array.sort
+        (fun i1 i2 -> Int.compare ops.(i1).Fetch_op.at_cursor ops.(i2).Fetch_op.at_cursor)
+        pending;
+    let next_pending = ref 0 in
+    (* Armed fetches - anchor reached, absolute start time known - in a
+       binary min-heap of (start time, op index), [armed] entries long.
+       Ties on the start time go by [compare_pending]; that order is
+       total, so the heap yields the armed ops in one fixed order however
+       they were armed.  The heap rarely holds more than a few ops, so it
+       starts small and doubles when full. *)
     let compare_pending i1 i2 =
       match Fetch_op.compare_start ops.(i1) ops.(i2) with 0 -> Int.compare i1 i2 | c -> c
     in
-    for c = 0 to n do
-      by_cursor.(c) <- List.sort compare_pending by_cursor.(c)
-    done;
-    (* Fetches whose absolute start time is known (anchor reached):
-       (start_time, op_index), kept sorted by start time.  The merge and
-       the start-time listing are named functions so [arm] - called once
-       per serve - allocates no fresh closures. *)
-    let armed = ref [] in
-    let rec merge_armed l1 l2 =
-      match (l1, l2) with
-      | [], l | l, [] -> l
-      | (((t1, i1) as h1) :: r1), (((t2, i2) as h2) :: r2) ->
-        let c = match Int.compare t1 t2 with 0 -> compare_pending i1 i2 | x -> x in
-        if c <= 0 then h1 :: merge_armed r1 l2 else h2 :: merge_armed l1 r2
+    let before t1 i1 t2 i2 = t1 < t2 || (t1 = t2 && compare_pending i1 i2 < 0) in
+    let heap_t = ref (Array.make (min nops 64) 0) in
+    let heap_i = ref (Array.make (min nops 64) 0) in
+    let armed = ref 0 in
+    let arm_push time i =
+      if !armed = Array.length !heap_t then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        heap_t := grow !heap_t;
+        heap_i := grow !heap_i
+      end;
+      let heap_t = !heap_t and heap_i = !heap_i in
+      let k = ref !armed in
+      incr armed;
+      while
+        !k > 0
+        &&
+        let p = (!k - 1) / 2 in
+        before time i heap_t.(p) heap_i.(p)
+      do
+        let p = (!k - 1) / 2 in
+        heap_t.(!k) <- heap_t.(p);
+        heap_i.(!k) <- heap_i.(p);
+        k := p
+      done;
+      heap_t.(!k) <- time;
+      heap_i.(!k) <- i
     in
-    let rec start_times time = function
-      | [] -> []
-      | i :: tl -> (time + ops.(i).Fetch_op.delay, i) :: start_times time tl
+    (* Remove the heap's top entry. *)
+    let arm_pop () =
+      let heap_t = !heap_t and heap_i = !heap_i in
+      decr armed;
+      let m = !armed in
+      let last_t = heap_t.(m) and last_i = heap_i.(m) in
+      let k = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !k) + 1 in
+        if l >= m then sifting := false
+        else begin
+          let c =
+            if l + 1 < m && before heap_t.(l + 1) heap_i.(l + 1) heap_t.(l) heap_i.(l) then l + 1
+            else l
+          in
+          if before heap_t.(c) heap_i.(c) last_t last_i then begin
+            heap_t.(!k) <- heap_t.(c);
+            heap_i.(!k) <- heap_i.(c);
+            k := c
+          end
+          else sifting := false
+        end
+      done;
+      heap_t.(!k) <- last_t;
+      heap_i.(!k) <- last_i
     in
     let arm time c =
-      match by_cursor.(c) with
-      | [] -> ()
-      | pending ->
-        armed := merge_armed !armed (start_times time pending);
-        by_cursor.(c) <- []
+      while !next_pending < nops && ops.(pending.(!next_pending)).Fetch_op.at_cursor = c do
+        let i = pending.(!next_pending) in
+        incr next_pending;
+        arm_push (time + ops.(i).Fetch_op.delay) i
+      done
     in
     let events = ref [] in
-    let push e = if record_events then events := e :: !events in
     let occupancy = ref [] in
     let last_occ = ref (-1) in
     let sample_occ t =
@@ -328,6 +437,7 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
     let peak = ref !cache_count in
     let cursor = ref 0 in
     let t = ref 0 in
+    let clock_skips = ref 0 and clock_units = ref 0 in
     (* Provenance events (opt-in, {!Event_log}): executor-side fetch
        issue/complete, delayed hits, plus stall intervals aggregated from
        unit stalls and attributed to the block the cursor is waiting on. *)
@@ -404,11 +514,12 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       incr in_flight_count;
       block_in_flight.(f.block) <- i;
       disk_busy.(f.disk) <- disk_busy.(f.disk) + duration;
+      dirty := true;
       if first then begin
         incr reserved;
         incr started
       end;
-      push (Fetch_start { time = !t; fetch = f });
+      if record_events then events := Fetch_start { time = !t; fetch = f } :: !events;
       prov_issue f
     in
     (* Degraded mode: draw attempt [attempt] of op [i] from the plan
@@ -499,12 +610,18 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       && evict_ready
     in
     (* Strict starts: every armed op due now starts or the run rejects. *)
-    let rec start_due () =
-      match !armed with
-      | (start_time, i) :: rest when start_time = !t ->
-        armed := rest;
+    let start_due () =
+      while !armed > 0 && (!heap_t).(0) <= !t do
+        let i = (!heap_i).(0) in
         let f = ops.(i) in
         let open Fetch_op in
+        if (!heap_t).(0) < !t then
+          (* The heap is drained at every instant the clock visits, and the
+             clock never crosses an armed start, so an overdue entry is an
+             executor bug, not a bad plan. *)
+          internal_error ~component "armed fetch of b%d on disk %d overdue: start time %d < clock %d"
+            f.block f.disk (!heap_t).(0) !t;
+        arm_pop ();
         if in_flight_op.(f.disk) >= 0 then
           rejectf !t "disk %d already busy when fetch of b%d starts" f.disk f.block;
         if in_cache.(f.block) then rejectf !t "fetch of b%d but it is already in cache" f.block;
@@ -524,16 +641,8 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
         (* The started fetch reserves a slot for the incoming block. *)
         if !cache_count + !reserved + 1 > capacity then
           rejectf !t "cache capacity %d exceeded" capacity;
-        launch i ~duration:fetch_time ~first:true;
-        start_due ()
-      | (start_time, i) :: _ when start_time < !t ->
-        (* The armed list is sorted by start time and drained at every
-           instant, so finding an overdue entry means the clock jumped past
-           a scheduled start - an executor bug, not a bad plan. *)
-        let f = ops.(i) in
-        internal_error ~component "armed fetch of b%d on disk %d overdue: start time %d < clock %d"
-          f.Fetch_op.block f.Fetch_op.disk start_time !t
-      | _ -> ()
+        launch i ~duration:fetch_time ~first:true
+      done
     in
     (* Degraded mode: due retries and due planned starts join the queues;
        a start that cannot go now waits instead of rejecting. *)
@@ -541,19 +650,18 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       match !retryq with
       | (ready, i) :: rest when ready <= !t ->
         retryq := rest;
-        Queue.add i (queue_of i);
+        fifo_push (queue_of i) i;
         incr queued;
         move_retries ()
       | _ -> ()
     in
-    let rec move_armed () =
-      match !armed with
-      | (start_time, i) :: rest when start_time <= !t ->
-        armed := rest;
-        Queue.add i (queue_of i);
-        incr queued;
-        move_armed ()
-      | _ -> ()
+    let move_armed () =
+      while !armed > 0 && (!heap_t).(0) <= !t do
+        let i = (!heap_i).(0) in
+        arm_pop ();
+        fifo_push (queue_of i) i;
+        incr queued
+      done
     in
     let mark_deferred i =
       if not (has flags i deferred) then begin
@@ -573,75 +681,107 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
          for d = 0 to num_disks - 1 do
            let q = queues.(d) in
            while
-             (not (Queue.is_empty q))
+             fifo_length q > 0
              && in_flight_op.(d) < 0
-             && not (Faults.disk_down faults ~disk:d ~time:!t)
+             && not (has_outages && Faults.disk_down faults ~disk:d ~time:!t)
            do
              decr queued;
-             fault_start (Queue.take q)
+             fault_start (fifo_pop q)
            done;
            (* Anything still queued was deferred by a busy or down disk. *)
-           Queue.iter mark_deferred q
+           for p = q.head to q.tail - 1 do
+             mark_deferred q.a.(p)
+           done
          done
        | Defer_global ->
-         (* One pass over the global FIFO: start what fits, keep the
-            rest (busy disk, or the block still resident / in flight
-            from an earlier elongated fetch) in order. *)
+         (* One pass over the global FIFO: start what fits, keep the rest
+            (busy disk, or the block still resident / in flight from an
+            earlier elongated fetch) in order.  An entry tried since the
+            last state change would fail again, so unless the state is
+            dirty the pass tries only the entries queued since. *)
          let q = queues.(0) in
-         for _ = 1 to Queue.length q do
-           let i = Queue.take q in
+         let from = q.head + if !dirty then 0 else !tested in
+         dirty := false;
+         let keep = ref from in
+         for p = from to q.tail - 1 do
+           let i = q.a.(p) in
            if startable i then begin
              decr queued;
              start_first i
            end
            else begin
              mark_deferred i;
-             Queue.add i q
+             q.a.(!keep) <- i;
+             incr keep
            end
-         done)
+         done;
+         q.tail <- !keep;
+         tested := fifo_length q)
     in
-    (* First queued op satisfying [p], FIFOs in order, then backoffs;
-       -1 if none. *)
-    let find_queued p =
-      let found = ref (-1) in
-      Array.iter (Queue.iter (fun i -> if !found < 0 && p i then found := i)) queues;
-      if !found < 0 then (
-        match List.find_opt (fun (_, i) -> p i) !retryq with
-        | Some (_, i) -> found := i
-        | None -> ());
-      !found
+    (* First queued op fetching block [b] - any queued op when [b < 0] -
+       FIFOs in order, then backoffs; -1 if none. *)
+    let rec find_retry b = function
+      | [] -> -1
+      | (_, i) :: rest -> if b < 0 || ops.(i).Fetch_op.block = b then i else find_retry b rest
     in
-    (* In fault mode a unit stalled on an in-flight op is also the plan's
-       doing when the op is on a repeat attempt, was deferred, or is
-       running past F on a slowed attempt. *)
-    let charge_involuntary i =
-      involuntary.(i) <- involuntary.(i) + 1;
-      if faulty
-         && (attempts.(i) > 1 || has flags i deferred
-             || (has flags i slowed && !t >= cur_start.(i) + fetch_time))
-      then incr f_stall
+    let find_queued b =
+      let found = ref (-1) and qi = ref 0 in
+      while !found < 0 && !qi < nqueues do
+        let q = queues.(!qi) in
+        let p = ref q.head in
+        while !found < 0 && !p < q.tail do
+          let i = q.a.(!p) in
+          if b < 0 || ops.(i).Fetch_op.block = b then found := i;
+          incr p
+        done;
+        incr qi
+      done;
+      if !found >= 0 then !found else find_retry b !retryq
+    in
+    (* Charge [run] stall units, starting at [t], to an in-flight op.  In
+       fault mode a unit is also the plan's doing when the op is on a
+       repeat attempt, was deferred, or is running past F on a slowed
+       attempt: the units at or after [cur_start + F]. *)
+    let charge_involuntary i run =
+      involuntary.(i) <- involuntary.(i) + run;
+      if faulty then
+        if attempts.(i) > 1 || has flags i deferred then f_stall := !f_stall + run
+        else if has flags i slowed then
+          f_stall := !f_stall + max 0 (!t + run - max !t (cur_start.(i) + fetch_time))
     in
     (* A queued op - waiting for its disk or its state, or sitting out a
-       backoff - is still "not started", so the partition books the unit
+       backoff - is still "not started", so the partition books the units
        as voluntary, but the delay is the degraded mode's doing. *)
-    let charge_queued i =
-      voluntary.(i) <- voluntary.(i) + 1;
-      incr f_stall
+    let charge_queued i run =
+      voluntary.(i) <- voluntary.(i) + run;
+      f_stall := !f_stall + run
     in
-    (* Charge one stall unit awaiting block [b] (-1 in the tail drain of
-       parked requests) to the fetch supplying it: in flight ->
-       involuntary, armed but deliberately delayed -> voluntary, queued ->
-       voluntary and fault stall. *)
-    let charge_stall b =
+    (* Charge a run of [run] stall units awaiting block [b] (-1 in the
+       tail drain of parked requests) to the fetch supplying it: in flight
+       -> involuntary, armed but deliberately delayed -> voluntary, queued
+       -> voluntary and fault stall.  The state is constant over the run,
+       so every unit goes to the same fetch. *)
+    let charge_stall b run =
       let flying = if b >= 0 then block_in_flight.(b) else -1 in
-      if flying >= 0 then charge_involuntary flying
-      else
-        let supplies i = b >= 0 && ops.(i).Fetch_op.block = b in
-        match List.find_opt (fun (_, i) -> supplies i) !armed with
-        | Some (_, i) -> voluntary.(i) <- voluntary.(i) + 1
-        | None ->
-          let q = find_queued supplies in
-          if q >= 0 then charge_queued q
+      if flying >= 0 then charge_involuntary flying run
+      else begin
+        (* The first armed op to start among those fetching [b]. *)
+        let supplier = ref (-1) in
+        let heap_t = !heap_t and heap_i = !heap_i in
+        if b >= 0 then
+          for k = 0 to !armed - 1 do
+            if ops.(heap_i.(k)).Fetch_op.block = b
+               && (!supplier < 0
+                   || before heap_t.(k) heap_i.(k) heap_t.(!supplier) heap_i.(!supplier))
+            then supplier := k
+          done;
+        if !supplier >= 0 then begin
+          let i = heap_i.(!supplier) in
+          voluntary.(i) <- voluntary.(i) + run
+        end
+        else
+          let q = if b >= 0 then find_queued b else -1 in
+          if q >= 0 then charge_queued q run
           else begin
             (* Tail drain, or a doomed-to-reject path where no fetch of the
                needed block exists: charge the earliest-completing in-flight
@@ -654,23 +794,22 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
                 best_end := in_flight_end.(d)
               end
             done;
-            if !best >= 0 then charge_involuntary !best
+            if !best >= 0 then charge_involuntary !best run
+            else if !armed > 0 then voluntary.(heap_i.(0)) <- voluntary.(heap_i.(0)) + run
             else
-              match !armed with
-              | (_, i) :: _ -> voluntary.(i) <- voluntary.(i) + 1
-              | [] ->
-                let q = find_queued (fun _ -> true) in
-                if q >= 0 then charge_queued q
-                else
-                  (* A stall unit with nothing in flight, armed, or queued
-                     means the plan ran dry while requests remain - the
-                     deadlock check rejects before charging. *)
-                  internal_error ~component
-                    "stall at time %d awaiting b%d with no fetch in flight, armed, or queued" !t b
+              let q = find_queued (-1) in
+              if q >= 0 then charge_queued q run
+              else
+                (* A stall unit with nothing in flight, armed, or queued
+                   means the plan ran dry while requests remain - the
+                   deadlock check rejects before charging. *)
+                internal_error ~component
+                  "stall at time %d awaiting b%d with no fetch in flight, armed, or queued" !t b
           end
+      end
     in
-    (* Called when a stall unit awaits [b] with no fetch in flight or
-       armed: the missing block arrives only through a queued op, if any. *)
+    (* Called when a stall awaits [b] with no fetch in flight or armed:
+       the missing block arrives only through a queued op, if any. *)
     let check_deadlock b =
       if !queued = 0 && !retryq = [] then
         if faulty && policy = Drop_per_disk then
@@ -682,12 +821,37 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
         (* Deferred ops are the only hope left; the state can no longer
            change on its own (no completions coming, no future arms), so if
            none of them can start now, none ever will: wedged. *)
+        let q = queues.(0) in
         let live = ref false in
-        Queue.iter (fun i -> if (not !live) && startable i then live := true) queues.(0);
+        for p = q.head to q.tail - 1 do
+          if startable q.a.(p) then live := true
+        done;
         if not !live then
           rejectf !t "request r%d (b%d) missing and unrecoverable (deferred fetches wedged)"
             (!cursor + 1) b
       end
+    in
+    (* The first instant after [t] at which the state can change: the
+       earliest in-flight completion, armed start, due retry or outage
+       transition, and at the latest the instant past the horizon. *)
+    let rec next_transition nx = function
+      | [] -> nx
+      | (o : Faults.outage) :: rest ->
+        let nx = if o.Faults.from_time > !t && o.Faults.from_time < nx then o.Faults.from_time else nx in
+        let nx =
+          if o.Faults.until_time > !t && o.Faults.until_time < nx then o.Faults.until_time else nx
+        in
+        next_transition nx rest
+    in
+    let next_change () =
+      let nx = ref (horizon + 1) in
+      for d = 0 to num_disks - 1 do
+        if in_flight_op.(d) >= 0 && in_flight_end.(d) < !nx then nx := in_flight_end.(d)
+      done;
+      if !armed > 0 && (!heap_t).(0) < !nx then nx := (!heap_t).(0);
+      (match !retryq with (ready, _) :: _ when ready < !nx -> nx := ready | _ -> ());
+      let nx = if has_outages then next_transition !nx faults.Faults.outages else !nx in
+      max (!t + 1) nx
     in
     (* Delayed hit: park the cursor request on the in-flight fetch of [b]
        and move on.  Parking takes no time: the loop goes round again at
@@ -701,7 +865,7 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       let disk = ops.(i).Fetch_op.disk in
       let ready_at = in_flight_end.(disk) in
       let depth = waiter_count.(i) + 1 in
-      waiters.(i) <- !cursor :: waiters.(i);
+      if record_events then waiters.(i) <- !cursor :: waiters.(i);
       waiter_count.(i) <- depth;
       incr parked_count;
       prov_serve b;
@@ -735,6 +899,7 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
           in_flight_op.(d) <- -1;
           decr in_flight_count;
           block_in_flight.(b) <- -1;
+          dirty := true;
           if faulty && has flags i failing then begin
             (* Transient failure: the disk is freed, the block did not
                arrive; retry under the plan's policy or abandon. *)
@@ -755,14 +920,16 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
               incr cache_count
             end;
             incr completed;
-            push (Fetch_complete { time = !t; fetch = f });
+            if record_events then events := Fetch_complete { time = !t; fetch = f } :: !events;
             prov_complete ~disk:d f;
             if window > 0 && waiter_count.(i) > 0 then begin
-              List.iter
-                (fun req -> push (Serve { time = !t; index = req; block = b }))
-                (List.rev waiters.(i));
+              if record_events then begin
+                List.iter
+                  (fun req -> events := Serve { time = !t; index = req; block = b } :: !events)
+                  (List.rev waiters.(i));
+                waiters.(i) <- []
+              end;
               parked_count := !parked_count - waiter_count.(i);
-              waiters.(i) <- [];
               waiter_count.(i) <- 0
             end
           end
@@ -779,6 +946,7 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
             in_flight_op.(d) <- -1;
             decr in_flight_count;
             block_in_flight.(b) <- -1;
+            dirty := true;
             disk_busy.(d) <- disk_busy.(d) - (in_flight_end.(d) - !t);
             incr f_interrupts;
             fevent (Faults.Interrupted { time = !t; disk = d; block = b });
@@ -790,16 +958,17 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
       if strict then start_due () else start_degraded ();
       if !cache_count + !in_flight_count > !peak then peak := !cache_count + !in_flight_count;
       if attribution then sample_occ !t;
-      (* 3. Serve, park or stall during [t, t+1).  Completions at this
-         instant may have released the last parked request; the run is
-         then over and no unit elapses. *)
+      (* 3. Serve, park or stall from [t].  Completions at this instant may
+         have released the last parked request; the run is then over and
+         no unit elapses. *)
       if !cursor < n || !parked_count > 0 then begin
         (* -1 in the tail drain: all requests issued, parked ones waiting
            on in-flight fetches. *)
         let b = if !cursor < n then inst.Instance.seq.(!cursor) else -1 in
         if b >= 0 && in_cache.(b) then begin
           prov_serve b;
-          push (Serve { time = !t; index = !cursor; block = b });
+          if record_events then
+            events := Serve { time = !t; index = !cursor; block = b } :: !events;
           incr cursor;
           incr t;
           arm !t !cursor
@@ -808,16 +977,34 @@ let exec ~policy ~extra_slots ~record_events ~attribution ~window ~(faults : Fau
         else begin
           (* Stall is legal while a fetch is in flight or an armed fetch
              will start later (a delayed start is a voluntary stall). *)
-          if b >= 0 && !in_flight_count = 0 && !armed = [] then check_deadlock b;
-          if attribution then charge_stall b;
+          if b >= 0 && !in_flight_count = 0 && !armed = 0 then check_deadlock b;
+          (* The stall lasts until the state next changes, except right
+             after a launch in a [Defer_global] pass that left ops
+             waiting (see the comment on [exec]). *)
+          let until =
+            if policy = Defer_global && !dirty && !queued > 0 then !t + 1 else next_change ()
+          in
+          let run = until - !t in
+          if attribution then charge_stall b run;
           prov_stall ();
-          push (Stall { time = !t });
-          incr stall;
-          incr t
+          if record_events then
+            for u = !t to until - 1 do
+              events := Stall { time = u } :: !events
+            done;
+          stall := !stall + run;
+          if run > 1 then begin
+            incr clock_skips;
+            clock_units := !clock_units + run - 1
+          end;
+          t := until
         end
       end
     done;
     sample_occ !t;
+    if Telemetry.enabled () then begin
+      Telemetry.add m_clock_skips !clock_skips;
+      Telemetry.add m_clock_units !clock_units
+    end;
     (* Refund busy time the in-flight fetches would spend past the end of
        the run (the clock stops when the last request is served). *)
     for d = 0 to num_disks - 1 do

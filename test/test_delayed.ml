@@ -298,6 +298,39 @@ let test_delayed_hit_event_json () =
   | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e
 
 (* ------------------------------------------------------------------ *)
+(* Same-instant unblock in the global defer FIFO.
+
+   Two disks, k = 2, blocks X = b0 and W = b2 on disk 0, Y = b1 on disk
+   1, initial cache {X, W}, seq = [Y; X].  Both fetches are anchored at
+   cursor 0: A (disk 0) fetches X evicting W, B (disk 1) fetches Y
+   evicting X.  A Const 3 plan at window 0 runs the defer-global mode.
+   At t = 0 the pass tries A first and defers it (X is still resident),
+   then starts B, which evicts X: from t = 1 on, A can start.  The
+   processor stalls on Y meanwhile, and the clock must step to t = 1
+   rather than jump to B's completion at t = 3 (which would start A at
+   3, land X at 6 and stall two more units). *)
+let test_same_instant_unblock () =
+  let inst =
+    Instance.parallel ~k:2 ~fetch_time:3 ~num_disks:2 ~disk_of:[| 0; 1; 0 |]
+      ~initial_cache:[ 0; 2 ] [| 1; 0 |]
+  in
+  let a = fetch ~at_cursor:0 ~disk:0 ~block:0 ~evict:(Some 2) () in
+  let b = fetch ~at_cursor:0 ~disk:1 ~block:1 ~evict:(Some 0) () in
+  let faults = Faults.make ~latency:(Faults.Const 3) () in
+  let d = ok (Delayed.run ~record_events:true ~window:0 ~faults inst [ a; b ]) in
+  let starts =
+    List.filter_map
+      (function
+        | Simulate.Fetch_start { time; fetch } -> Some (fetch.Fetch_op.block, time)
+        | _ -> None)
+      d.Delayed.base.Simulate.events
+  in
+  Alcotest.(check (list (pair int int))) "B at t=0, A at t+1" [ (1, 0); (0, 1) ] starts;
+  Alcotest.(check int) "A was deferred" 1 d.Delayed.report.Faults.deferred_starts;
+  Alcotest.(check int) "stall" 3 d.Delayed.base.Simulate.stall_time;
+  Alcotest.(check int) "elapsed" 5 d.Delayed.base.Simulate.elapsed_time
+
+(* ------------------------------------------------------------------ *)
 (* Randomized sweep: queueing invariants under arbitrary latency plans
    and windows.  No starvation (every request served exactly once), the
    elapsed identity, the attribution partition, and the wait-log
@@ -368,7 +401,9 @@ let () =
            test_window2_parks_both;
          Alcotest.test_case "elapsed identity" `Quick test_elapsed_identity;
          Alcotest.test_case "rejects negative window" `Quick test_rejects_negative_window;
-         Alcotest.test_case "rejects failure plans" `Quick test_rejects_failure_plans ]);
+         Alcotest.test_case "rejects failure plans" `Quick test_rejects_failure_plans;
+         Alcotest.test_case "same-instant unblock steps one unit" `Quick
+           test_same_instant_unblock ]);
       ("oracles",
        [ Alcotest.test_case "degenerate over corpus" `Slow test_degenerate_over_corpus;
          Alcotest.test_case "degenerate on PR-8 fast-path plans" `Quick

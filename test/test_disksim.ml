@@ -336,8 +336,142 @@ let prop_executor_total =
          && s.Simulate.stall_time >= 0
          && s.Simulate.peak_occupancy <= k)
 
+(* Replay allocation ceiling: with events and attribution off, the
+   executor's per-request state is flat int arrays, so a 10^5-request scan
+   (every request a miss) allocates almost nothing on the minor heap.  The
+   count is deterministic for a fixed input. *)
+let test_replay_minor_words () =
+  Telemetry.set_enabled false;
+  let n = 100_000 in
+  let inst =
+    Workload.single_instance ~k:64 ~fetch_time:8 (Workload.sequential_scan ~n ~num_blocks:n)
+  in
+  let sched = Aggressive.schedule inst in
+  let before = Gc.minor_words () in
+  let s = ok_stats (Simulate.run inst sched) in
+  let per_request = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) "the scan stalls" true (s.Simulate.stall_time > 0);
+  if per_request > 10.0 then
+    Alcotest.failf "Simulate.run allocated %.1f minor words/request (ceiling 10)" per_request
+
+(* The clock-skip counters: each skip crosses a stall run of two or more
+   units, and the instants it never visits are part of the stall. *)
+let test_clock_skip_counters () =
+  let counter name =
+    match Telemetry.find name with
+    | Some (Telemetry.Counter v) -> v
+    | _ -> Alcotest.failf "counter %s missing" name
+  in
+  Telemetry.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_enabled false)
+    (fun () ->
+      Telemetry.reset ();
+      let inst =
+        Workload.single_instance ~k:8 ~fetch_time:6
+          (Workload.sequential_scan ~n:2_000 ~num_blocks:2_000)
+      in
+      let s = ok_stats (Simulate.run inst (Aggressive.schedule inst)) in
+      let skips = counter "simulate.clock_skips" in
+      let units = counter "simulate.clock_units_skipped" in
+      Alcotest.(check bool) "skips happen" true (skips > 0);
+      Alcotest.(check bool) "skipped units <= stall" true
+        (skips <= units && units <= s.Simulate.stall_time))
+
+(* The executor crosses a stall run in one step and emits its per-unit
+   [Stall] events only when events are recorded.  Over [Ck_gen] cases and
+   their battery schedules, under every executor and a spread of plans,
+   recording events must change nothing but [events], and must yield
+   exactly one [Stall] event per stall unit: the bulk charges agree with
+   the per-unit event path. *)
+let prop_events_do_not_change_stats =
+  let strip (s : Simulate.stats) = { s with Simulate.events = [] } in
+  let stall_events (s : Simulate.stats) =
+    List.length (List.filter (function Simulate.Stall _ -> true | _ -> false) s.Simulate.events)
+  in
+  (* [exec record_events] returns the base stats plus the rest of the
+     executor's result, which must not depend on the flag either. *)
+  let agree exec =
+    match (exec false, exec true) with
+    | Ok (s0, rest0), Ok (s1, rest1) ->
+      s0.Simulate.events = [] && strip s0 = strip s1 && rest0 = rest1
+      && stall_events s1 = s1.Simulate.stall_time
+    | Error e0, Error e1 -> e0 = e1
+    | _ -> false
+  in
+  QCheck2.Test.make ~count:150 ~name:"record_events changes only events; one Stall per unit"
+    ~print:(fun (index, seed) -> Printf.sprintf "case=%d plan seed=%d" index seed)
+    QCheck2.Gen.(pair (int_range 0 101) (int_range 1 10_000))
+    (fun (index, seed) ->
+       let inst = (Ck_gen.generate ~seed:42 ~index).Ck_gen.inst in
+       let f = inst.Instance.fetch_time in
+       let outage = { Faults.disk = 0; from_time = 2; until_time = 2 + (2 * f) } in
+       let fault_plans =
+         [ Faults.make ~seed ~jitter_prob:0.3 ~max_jitter:(max 1 f) ();
+           Faults.make ~seed ~fail_prob:0.2 ();
+           Faults.make ~seed ~outages:[ outage ] () ]
+       in
+       let latency_plans =
+         [ Faults.make ~seed ~latency:(Faults.Const f) ();
+           Faults.make ~seed
+             ~latency:(Faults.Pareto { xm = max 1 (f / 2); alpha = 1.5; cap = 3 * f }) () ]
+       in
+       List.for_all
+         (fun (_, alg) ->
+            let sched = alg inst in
+            agree (fun record_events ->
+                Result.map (fun s -> (s, ()))
+                  (Simulate.run ~record_events ~attribution:true inst sched))
+            && List.for_all
+                 (fun faults ->
+                    agree (fun record_events -> Simulate.run_faulty ~record_events ~faults inst sched))
+                 fault_plans
+            && List.for_all
+                 (fun faults ->
+                    List.for_all
+                      (fun window ->
+                         agree (fun record_events ->
+                             Result.map
+                               (fun (d : Delayed.stats) ->
+                                  (d.Delayed.base, { d with Delayed.base = strip d.Delayed.base }))
+                               (Delayed.run ~record_events ~attribution:true ~window ~faults inst
+                                  sched)))
+                      [ 0; 16 ])
+                 latency_plans)
+         (Ck_validity.algorithms_for inst))
+
+(* The executor orders pending fetches by anchor itself, so the order of
+   the schedule list only renames the ops: replaying an accepted schedule
+   reversed gives the same run, with the attribution list reversed and
+   its indexes mirrored.  (Accepted strict runs have no two ops with the
+   same anchor, delay and disk, the one tie the list order breaks.) *)
+let prop_schedule_order_irrelevant =
+  QCheck2.Test.make ~count:60 ~name:"reversed schedule replays identically"
+    ~print:(fun index -> Printf.sprintf "case=%d" index)
+    QCheck2.Gen.(int_range 0 101)
+    (fun index ->
+       let inst = (Ck_gen.generate ~seed:42 ~index).Ck_gen.inst in
+       List.for_all
+         (fun (_, alg) ->
+            let sched = alg inst in
+            let last = List.length sched - 1 in
+            let run s = Simulate.run ~record_events:true ~attribution:true inst s in
+            match (run sched, run (List.rev sched)) with
+            | Ok s, Ok r ->
+              let mirrored =
+                List.rev_map
+                  (fun (a : Simulate.fetch_stall) ->
+                     { a with Simulate.fetch_index = last - a.Simulate.fetch_index })
+                  r.Simulate.stall_by_fetch
+              in
+              { r with Simulate.stall_by_fetch = mirrored } = s
+            | Error _, _ -> true
+            | Ok _, Error _ -> false)
+         (Ck_validity.algorithms_for inst))
+
 let props =
-  List.map QCheck_alcotest.to_alcotest [ prop_next_ref_consistent; prop_executor_total ]
+  List.map QCheck_alcotest.to_alcotest [ prop_next_ref_consistent; prop_executor_total;
+      prop_events_do_not_change_stats; prop_schedule_order_irrelevant ]
 
 let () =
   Alcotest.run "disksim"
@@ -363,4 +497,7 @@ let () =
         [ Alcotest.test_case "validation" `Quick test_instance_validation;
           Alcotest.test_case "warm cache" `Quick test_warm_initial_cache;
           Alcotest.test_case "next_ref" `Quick test_next_ref ] );
+      ( "clock",
+        [ Alcotest.test_case "replay allocation ceiling" `Quick test_replay_minor_words;
+          Alcotest.test_case "clock skips within stall" `Quick test_clock_skip_counters ] );
       ("properties", props) ]
