@@ -8,16 +8,19 @@
     optimal (tight), and it performs the minimum possible number of
     fetches. *)
 
-type pending = {
-  fetched : int;
-  evicted : int option;
-  miss_position : int;  (** 0-based index of the MIN miss *)
-  eligible_cursor : int;  (** the fetch may start once this many requests are served *)
+type plan = {
+  fetched : int array;  (** block fetched by replacement [r] *)
+  evicted : int array;  (** its victim, or [-1] for a free slot *)
+  eligible_cursor : int array;
+      (** replacement [r] may start once this many requests are served *)
 }
+(** MIN's replacement sequence as flat columns, in miss order. *)
 
-val plan : Instance.t -> pending list
-(** MIN's replacement sequence annotated with earliest start positions, in
-    miss order.  Also used by Conservative-D ({!Parallel_greedy}). *)
+val plan : nr:Next_ref.t -> Instance.t -> plan
+(** MIN's replacements annotated with earliest start positions.  Also
+    used by Conservative-D ({!Parallel_greedy}).  [nr] must be
+    [Next_ref.of_instance inst]; callers that also run the {!Driver}
+    build it once and pass it to both. *)
 
 val schedule : Instance.t -> Fetch_op.schedule
 

@@ -16,10 +16,13 @@
    Theorem 3: ratio(Delay(d)) <= max{(d+F)/F, (d+2F)/(d+F), 3(d+F)/(d+2F)};
    Corollary 1: with d0 = ceil((sqrt3 - 1)F/2) the bound tends to sqrt 3. *)
 
-type committed = {
-  block : int;  (* block to fetch (the one missed at position j) *)
-  evict : int;
-  eligible_cursor : int;
+(* The committed fetch, as flat ints: the block to fetch (the one missed
+   at position j; -1 while nothing is committed), its victim (-1 for a
+   free slot) and the cursor at which it may start. *)
+type pending = {
+  mutable block : int;
+  mutable evict : int;
+  mutable eligible_cursor : int;
 }
 
 let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
@@ -33,67 +36,59 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
        schedulers. *)
     match Driver.active_engine () with Driver.Fast -> true | Driver.Reference -> false
   in
-  let pending : committed option ref = ref None in
-  let commit_victim drv nr ~i ~j b =
+  let pending = { block = -1; evict = -1; eligible_cursor = 0 } in
+  let commit drv ~j ~evict ~eligible_cursor =
+    pending.block <- (Driver.instance drv).Instance.seq.(j);
+    pending.evict <- evict;
+    pending.eligible_cursor <- eligible_cursor
+  in
+  let commit_victim drv ~i ~j b =
     (* Earliest initiation: after b's last request before j. *)
-    let eligible_cursor =
-      match Next_ref.prev_before nr b j with
-      | p when p >= i -> p + 1
-      | _ -> i
-    in
-    pending :=
-      Some { block = (Driver.instance drv).Instance.seq.(j); evict = b; eligible_cursor }
+    let p = Next_ref.prev_before (Driver.next_ref drv) b j in
+    commit drv ~j ~evict:b ~eligible_cursor:(if p >= i then p + 1 else i)
   in
   let decide drv =
     if not (Driver.disk_busy drv 0) then begin
-      (match !pending with
-       | Some _ -> ()
-       | None ->
-         let i = Driver.cursor drv in
-         (match Driver.next_missing drv with
-          | None -> ()
-          | Some j ->
-            let nr = Driver.next_ref drv in
-            if not (Driver.cache_full drv) then begin
-              (* Spare capacity: fetch without eviction, no delay needed. *)
-              pending :=
-                Some { block = (Driver.instance drv).Instance.seq.(j); evict = -1;
-                       eligible_cursor = i }
-            end
-            else if merge_queries then begin
-              match Driver.furthest_cached drv ~from:i with
-              | Some (b0, nx) when nx > j ->
-                let d' = Stdlib.min d (j - i) in
-                if d' = 0 then commit_victim drv nr ~i ~j b0
-                else
-                  (match Driver.furthest_cached drv ~from:(i + d') with
-                   | None -> ()
-                   | Some (b, _) -> commit_victim drv nr ~i ~j b)
-              | _ -> ()
-            end
-            else begin
-              (* Is some cached block requested only at or after position
-                 j?  Equivalent to the furthest next reference (measured
-                 from the cursor) landing past j - one heap peek instead
-                 of a scan over the whole cache. *)
-              let exists_late =
-                match Driver.furthest_cached drv ~from:i with
-                | Some (_, nx) -> nx > j
-                | None -> false
-              in
-              if exists_late then begin
-                let d' = Stdlib.min d (j - i) in
-                match Driver.furthest_cached drv ~from:(i + d') with
-                | None -> ()
-                | Some (b, _) -> commit_victim drv nr ~i ~j b
+      if pending.block < 0 then begin
+        let i = Driver.cursor drv in
+        let j = Driver.next_missing_pos drv in
+        if j >= 0 then begin
+          if not (Driver.cache_full drv) then
+            (* Spare capacity: fetch without eviction, no delay needed. *)
+            commit drv ~j ~evict:(-1) ~eligible_cursor:i
+          else if merge_queries then begin
+            let b0 = Driver.furthest_cached_block drv ~from:i in
+            if b0 >= 0 && Driver.furthest_cached_next drv > j then begin
+              let d' = Stdlib.min d (j - i) in
+              if d' = 0 then commit_victim drv ~i ~j b0
+              else begin
+                let b = Driver.furthest_cached_block drv ~from:(i + d') in
+                if b >= 0 then commit_victim drv ~i ~j b
               end
-            end));
-      (match !pending with
-       | Some c when Driver.cursor drv >= c.eligible_cursor ->
-         Driver.start_fetch drv ~block:c.block
-           ~evict:(if c.evict < 0 then None else Some c.evict);
-         pending := None
-       | _ -> ())
+            end
+          end
+          else begin
+            (* Is some cached block requested only at or after position
+               j?  Equivalent to the furthest next reference (measured
+               from the cursor) landing past j - one heap peek instead
+               of a scan over the whole cache. *)
+            let exists_late =
+              Driver.furthest_cached_block drv ~from:i >= 0
+              && Driver.furthest_cached_next drv > j
+            in
+            if exists_late then begin
+              let d' = Stdlib.min d (j - i) in
+              let b = Driver.furthest_cached_block drv ~from:(i + d') in
+              if b >= 0 then commit_victim drv ~i ~j b
+            end
+          end
+        end
+      end;
+      if pending.block >= 0 && Driver.cursor drv >= pending.eligible_cursor then begin
+        Driver.start_fetch drv ~block:pending.block
+          ~evict:(if pending.evict < 0 then None else Some pending.evict);
+        pending.block <- -1
+      end
     end
   in
   Driver.schedule (Driver.run inst ~decide)

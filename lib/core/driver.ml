@@ -39,6 +39,11 @@
          last decide call was a no-op jump straight to the next fetch
          completion.
 
+   The hot path allocates nothing per request: in-flight state is two
+   int arrays, every query is a plain loop, and the queries answer with
+   int sentinels ([next_missing_pos], [furthest_cached_block] plus
+   [furthest_cached_next]) instead of options or pairs.
+
    The decide contract (all in-tree schedulers satisfy it, and the
    equivalence suite in test/test_driver_equiv.ml checks them all):
    a decide callback must (a) do nothing when every disk is busy, and
@@ -68,15 +73,18 @@ type t = {
   mutable cursor : int;
   in_cache : bool array;
   mutable cache_count : int;
-  in_flight : (int * int) option array;  (* per disk: block, end_time *)
+  fly_block : int array;  (* per disk: block in flight, or -1 when idle *)
+  fly_end : int array;  (* per disk: completion instant of [fly_block] *)
+  mutable next_end : int;  (* earliest [fly_end] over busy disks, or max_int *)
   mutable in_flight_count : int;
-  in_flight_blocks : bool array;  (* membership mirror of [in_flight] *)
-  reach : int array;  (* reach.(c) = first instant the cursor reached c *)
+  in_flight_blocks : bool array;  (* membership mirror of [fly_block] *)
+  mutable reach_cur : int;  (* first instant the cursor reached its position *)
   mutable ops : Fetch_op.t list;  (* reversed *)
   mutable stall : int;
   mutable fetch_count : int;
   (* Fast-engine state (maintained by both engines, queried by Fast). *)
   heap : Evict_heap.t;  (* live key = next ref of each resident block at or after the cursor *)
+  mutable fc_next : int;  (* next reference of the last [furthest_cached_block] answer *)
   mutable missing_from : int;  (* [cursor, missing_from) holds no missing position *)
   missing_from_disk : int array;  (* same, per disk *)
   resident : int array;  (* dense resident-block set, for O(k) cache_list *)
@@ -116,27 +124,29 @@ let cache_remove d b =
   d.resident_pos.(b) <- -1;
   Evict_heap.remove d.heap ~block:b
 
-let create (inst : Instance.t) : t =
+let create ?nr (inst : Instance.t) : t =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
-  let reach = Array.make (n + 1) 0 in
   let d =
     { inst;
-      nr = Next_ref.of_instance inst;
+      nr = (match nr with Some nr -> nr | None -> Next_ref.of_instance inst);
       n;
       engine = !default_engine;
       time = 0;
       cursor = 0;
       in_cache = Array.make num_blocks false;
       cache_count = 0;
-      in_flight = Array.make inst.Instance.num_disks None;
+      fly_block = Array.make inst.Instance.num_disks (-1);
+      fly_end = Array.make inst.Instance.num_disks 0;
+      next_end = max_int;
       in_flight_count = 0;
       in_flight_blocks = Array.make num_blocks false;
-      reach;
+      reach_cur = 0;
       ops = [];
       stall = 0;
       fetch_count = 0;
       heap = Evict_heap.create ~num_blocks;
+      fc_next = -1;
       missing_from = 0;
       missing_from_disk = Array.make inst.Instance.num_disks 0;
       resident = Array.make (Stdlib.max 1 num_blocks) 0;
@@ -169,7 +179,7 @@ let cache_count d = d.cache_count
    in-flight reservations leave a slot free. *)
 let has_free_slot d = d.cache_count + d.in_flight_count < d.inst.Instance.cache_size
 let cache_full d = not (has_free_slot d)
-let disk_busy d disk = d.in_flight.(disk) <> None
+let disk_busy d disk = d.fly_block.(disk) >= 0
 let any_disk_busy d = d.in_flight_count > 0
 
 let block_in_flight d b = d.in_flight_blocks.(b)
@@ -180,61 +190,69 @@ let block_in_flight d b = d.in_flight_blocks.(b)
 let cache_list d =
   List.sort Stdlib.compare (Array.to_list (Array.sub d.resident 0 d.cache_count))
 
-let missing_at d i =
-  let b = d.inst.Instance.seq.(i) in
-  not (d.in_cache.(b) || d.in_flight_blocks.(b))
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
 
 (* First position >= [from] whose block is neither cached nor in flight,
-   or None.
+   or [n] if none. *)
+let scan_missing d from =
+  let seq = d.inst.Instance.seq in
+  let i = ref from in
+  while
+    !i < d.n
+    &&
+    let b = seq.(!i) in
+    d.in_cache.(b) || d.in_flight_blocks.(b)
+  do
+    incr i
+  done;
+  !i
 
-   Fast engine: every position in [cursor, missing_from) is known
-   non-missing, so a query from at or before that frontier resumes the
-   scan there and publishes the new frontier.  (Queries from beyond the
-   frontier - no in-tree caller - scan plainly and learn nothing.) *)
-let next_missing ?from d =
-  let from = match from with Some f -> f | None -> d.cursor in
-  let rec scan i = if i >= d.n then None else if missing_at d i then Some i else scan (i + 1) in
-  match d.engine with
-  | Reference -> scan from
-  | Fast ->
-    if from < d.cursor then scan from
-    else begin
-      let start = Stdlib.max d.missing_from d.cursor in
-      if from <= start then begin
-        let r = scan start in
-        let nf = match r with Some p -> p | None -> d.n in
-        if nf > d.missing_from then d.frontier_advances <- d.frontier_advances + 1;
-        d.missing_from <- nf;
-        r
-      end
-      else scan from
-    end
+(* Same, restricted to blocks that live on [disk]. *)
+let scan_missing_on_disk d disk from =
+  let seq = d.inst.Instance.seq and disk_of = d.inst.Instance.disk_of in
+  let i = ref from in
+  while
+    !i < d.n
+    &&
+    let b = seq.(!i) in
+    d.in_cache.(b) || d.in_flight_blocks.(b) || disk_of.(b) <> disk
+  do
+    incr i
+  done;
+  !i
 
-(* First position >= [from] of a missing block that lives on [disk]. *)
-let next_missing_on_disk d ~disk ~from =
-  let rec scan i =
-    if i >= d.n then None
-    else if missing_at d i && d.inst.Instance.disk_of.(d.inst.Instance.seq.(i)) = disk then Some i
-    else scan (i + 1)
-  in
+let none_if_n d p = if p >= d.n then -1 else p
+
+(* First position >= cursor whose block is neither cached nor in flight,
+   or -1.
+
+   Fast engine: every position in [cursor, frontier) is known
+   non-missing, so the scan resumes at the frontier and publishes the
+   new one.  The per-disk form keeps one frontier per disk. *)
+let next_missing_pos d =
   match d.engine with
-  | Reference -> scan from
+  | Reference -> none_if_n d (scan_missing d d.cursor)
   | Fast ->
-    if from < d.cursor then scan from
-    else begin
-      let start = Stdlib.max d.missing_from_disk.(disk) d.cursor in
-      if from <= start then begin
-        let r = scan start in
-        let nf = match r with Some p -> p | None -> d.n in
-        if nf > d.missing_from_disk.(disk) then d.frontier_advances <- d.frontier_advances + 1;
-        d.missing_from_disk.(disk) <- nf;
-        r
-      end
-      else scan from
-    end
+    let nf = scan_missing d (imax d.missing_from d.cursor) in
+    if nf > d.missing_from then d.frontier_advances <- d.frontier_advances + 1;
+    d.missing_from <- nf;
+    none_if_n d nf
+
+let next_missing_on_disk_pos d ~disk =
+  match d.engine with
+  | Reference -> none_if_n d (scan_missing_on_disk d disk d.cursor)
+  | Fast ->
+    let nf = scan_missing_on_disk d disk (imax d.missing_from_disk.(disk) d.cursor) in
+    if nf > d.missing_from_disk.(disk) then d.frontier_advances <- d.frontier_advances + 1;
+    d.missing_from_disk.(disk) <- nf;
+    none_if_n d nf
 
 (* The cached block whose next reference measured from [from] is furthest
-   in the future (ties: smallest id).  None if the cache is empty.
+   in the future (ties: smallest id), or -1 if the cache is empty; its
+   next reference lands in [fc_next].
+
+   Reference engine: scan every block in ascending id order.
 
    Fast engine: the heap top answers queries at the cursor directly.  For
    [from > cursor] (Delay's d' window) the live keys of blocks referenced
@@ -244,53 +262,68 @@ let next_missing_on_disk d ~disk ~from =
    them and the heap covers the rest (any entry with key < from belongs
    to the window, and the valid top dominates all entries with key >=
    from). *)
-let furthest_cached d ~from =
-  let scan () =
-    let best = ref (-1) in
-    let best_next = ref (-1) in
-    Array.iteri
-      (fun b c ->
-         if c then begin
-           let nx = Next_ref.next_at_or_after d.nr b from in
-           if nx > !best_next then begin
-             best_next := nx;
-             best := b
-           end
-         end)
-      d.in_cache;
-    if !best < 0 then None else Some (!best, !best_next)
-  in
-  match d.engine with
-  | Reference -> scan ()
-  | Fast ->
-    if from < d.cursor then scan ()
-    else begin
-      let best = ref (-1) in
-      let best_next = ref (-1) in
-      let consider b nx =
-        if nx > !best_next || (nx = !best_next && b < !best) then begin
-          best_next := nx;
-          best := b
-        end
-      in
-      for p = d.cursor to Stdlib.min (from - 1) (d.n - 1) do
-        let b = d.inst.Instance.seq.(p) in
-        if d.in_cache.(b) then consider b (Next_ref.next_at_or_after d.nr b from)
-      done;
-      (match Evict_heap.peek d.heap with
-       | Some (b, key) when key >= from -> consider b key
-       | Some _ | None -> ());
-      if !best < 0 then None else Some (!best, !best_next)
+let furthest_scan d from =
+  let best = ref (-1) and best_next = ref (-1) in
+  for b = 0 to Array.length d.in_cache - 1 do
+    if d.in_cache.(b) then begin
+      let nx = Next_ref.next_at_or_after d.nr b from in
+      if nx > !best_next then begin
+        best_next := nx;
+        best := b
+      end
     end
+  done;
+  d.fc_next <- !best_next;
+  !best
+
+let furthest_cached_block d ~from =
+  match d.engine with
+  | Reference -> furthest_scan d from
+  | Fast ->
+    if from < d.cursor then furthest_scan d from
+    else begin
+      let seq = d.inst.Instance.seq in
+      let best = ref (-1) and best_next = ref (-1) in
+      for p = d.cursor to imin (from - 1) (d.n - 1) do
+        let b = seq.(p) in
+        if d.in_cache.(b) then begin
+          let nx = Next_ref.next_at_or_after d.nr b from in
+          if nx > !best_next || (nx = !best_next && b < !best) then begin
+            best_next := nx;
+            best := b
+          end
+        end
+      done;
+      let top = Evict_heap.top_block d.heap in
+      if top >= 0 then begin
+        let key = Evict_heap.top_key d.heap in
+        if key >= from && (key > !best_next || (key = !best_next && top < !best)) then begin
+          best_next := key;
+          best := top
+        end
+      end;
+      d.fc_next <- !best_next;
+      !best
+    end
+
+let furthest_cached_next d = d.fc_next
 
 (* Initiate a fetch at the current instant. *)
 let start_fetch ?(disk = 0) d ~block ~evict =
-  assert (not (disk_busy d disk));
-  assert (not d.in_cache.(block));
-  assert (not d.in_flight_blocks.(block));
+  if disk_busy d disk then
+    Simulate.internal_error ~component:"driver" "fetch of b%d on busy disk %d at r%d" block disk
+      (d.cursor + 1);
+  if d.in_cache.(block) then
+    Simulate.internal_error ~component:"driver" "fetch of b%d already resident at r%d" block
+      (d.cursor + 1);
+  if d.in_flight_blocks.(block) then
+    Simulate.internal_error ~component:"driver" "fetch of b%d already in flight at r%d" block
+      (d.cursor + 1);
   (match evict with
    | Some e ->
-     assert d.in_cache.(e);
+     if not d.in_cache.(e) then
+       Simulate.internal_error ~component:"driver" "eviction of b%d which is not resident at r%d"
+         e (d.cursor + 1);
      (* The eviction re-opens e's references: clamp the missing
         frontiers back to its next one. *)
      let q = Next_ref.next_at_or_after d.nr e d.cursor in
@@ -315,13 +348,13 @@ let start_fetch ?(disk = 0) d ~block ~evict =
             { time = d.time; cursor = d.cursor; block = e; next_ref = q;
               runner_up = Evict_heap.peek d.heap })
    | None -> ());
-  let op =
-    Fetch_op.make ~at_cursor:d.cursor
-      ~delay:(d.time - d.reach.(d.cursor))
-      ~disk ~block ~evict ()
-  in
-  d.ops <- op :: d.ops;
-  d.in_flight.(disk) <- Some (block, d.time + d.inst.Instance.fetch_time);
+  d.ops <-
+    { Fetch_op.at_cursor = d.cursor; delay = d.time - d.reach_cur; disk; block; evict }
+    :: d.ops;
+  let ends = d.time + d.inst.Instance.fetch_time in
+  d.fly_block.(disk) <- block;
+  d.fly_end.(disk) <- ends;
+  if ends < d.next_end then d.next_end <- ends;
   d.in_flight_blocks.(block) <- true;
   d.in_flight_count <- d.in_flight_count + 1;
   d.fetch_count <- d.fetch_count + 1;
@@ -330,20 +363,27 @@ let start_fetch ?(disk = 0) d ~block ~evict =
       (Event_log.Fetch_issue { time = d.time; cursor = d.cursor; block; disk; evict })
 
 (* Process fetch completions due at the current instant.  Must be called
-   once per instant, before decisions. *)
+   once per instant, before decisions.  O(1) unless some fetch is due:
+   [next_end] is the earliest completion, recomputed after each batch. *)
 let tick_completions d =
-  Array.iteri
-    (fun disk slot ->
-       match slot with
-       | Some (b, end_time) when end_time = d.time ->
-         d.in_flight.(disk) <- None;
-         d.in_flight_count <- d.in_flight_count - 1;
-         d.in_flight_blocks.(b) <- false;
-         cache_add d b;
-         if Event_log.enabled () then
-           Event_log.record (Event_log.Fetch_complete { time = d.time; block = b; disk })
-       | _ -> ())
-    d.in_flight
+  if d.next_end <= d.time then begin
+    let ne = ref max_int in
+    for disk = 0 to Array.length d.fly_block - 1 do
+      let b = d.fly_block.(disk) in
+      if b >= 0 then begin
+        if d.fly_end.(disk) = d.time then begin
+          d.fly_block.(disk) <- -1;
+          d.in_flight_count <- d.in_flight_count - 1;
+          d.in_flight_blocks.(b) <- false;
+          cache_add d b;
+          if Event_log.enabled () then
+            Event_log.record (Event_log.Fetch_complete { time = d.time; block = b; disk })
+        end
+        else if d.fly_end.(disk) < !ne then ne := d.fly_end.(disk)
+      end
+    done;
+    d.next_end <- !ne
+  end
 
 (* The serve that ends a stall interval attributes it to the block the
    executor was waiting on (the cursor's block) and reports it to the
@@ -369,7 +409,7 @@ let serve_one d =
     ~key:(Next_ref.next_after_same d.nr d.cursor);
   d.cursor <- d.cursor + 1;
   d.time <- d.time + 1;
-  d.reach.(d.cursor) <- d.time
+  d.reach_cur <- d.time
 
 (* Serve the next request if its block is resident, otherwise record one
    stall unit; advances the clock either way. *)
@@ -387,14 +427,6 @@ let advance d =
 
 let schedule d = List.rev d.ops
 
-(* Earliest in-flight completion, or max_int. *)
-let next_completion d =
-  let ne = ref max_int in
-  Array.iter
-    (function Some (_, end_time) -> if end_time < !ne then ne := end_time | None -> ())
-    d.in_flight;
-  !ne
-
 (* Event skipping: after a decide/advance step, run through instants
    where the decide callback is provably a no-op, stopping at (never
    past) the next completion so [tick_completions] fires on time.
@@ -409,7 +441,7 @@ let fast_forward d ~quiescent =
   let quiescent = ref quiescent in
   let continue = ref true in
   while !continue && not (finished d) do
-    let ne = next_completion d in
+    let ne = d.next_end in
     if d.time >= ne then continue := false
     else if d.in_cache.(d.inst.Instance.seq.(d.cursor)) then begin
       if d.in_flight_count = d.inst.Instance.num_disks then begin
@@ -457,8 +489,8 @@ let flush_stats d =
 
 (* Run an algorithm defined by a per-instant decision callback.  The
    callback runs after completions and may call [start_fetch]. *)
-let run inst ~decide =
-  let d = create inst in
+let run ?nr inst ~decide =
+  let d = create ?nr inst in
   (match d.engine with
    | Reference ->
      while not (finished d) do

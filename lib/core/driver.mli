@@ -38,9 +38,12 @@ val active_engine : unit -> engine
     scheduler code, keeping the equivalence suite a whole-pipeline
     oracle. *)
 
-val create : Instance.t -> t
+val create : ?nr:Next_ref.t -> Instance.t -> t
+(** [nr], when given, must be [Next_ref.of_instance inst]: schedulers
+    that already built the index for planning pass it along instead of
+    building it again. *)
 
-val run : Instance.t -> decide:(t -> unit) -> t
+val run : ?nr:Next_ref.t -> Instance.t -> decide:(t -> unit) -> t
 (** [run inst ~decide] executes the timeline to completion, calling
     [decide] after fetch completions whenever the state may have changed;
     the callback may invoke {!start_fetch}.
@@ -52,7 +55,9 @@ val run : Instance.t -> decide:(t -> unit) -> t
     repeating it against an identical state is a no-op.  The reference
     engine literally calls [decide] once per instant; the fast engine
     skips only invocations that contract proves are no-ops.
-    @raise Failure if the algorithm deadlocks (stall with empty pipeline). *)
+    @raise Simulate.Internal_error if the algorithm deadlocks (stall with
+    an empty pipeline), or if [decide] breaks a {!start_fetch}
+    precondition. *)
 
 (** {1 State queries (valid inside [decide])} *)
 
@@ -78,29 +83,39 @@ val disk_busy : t -> int -> bool
 val any_disk_busy : t -> bool
 val block_in_flight : t -> int -> bool
 
-val next_missing : ?from:int -> t -> int option
-(** First position at or after [from] (default: the cursor) whose block is
-    neither cached nor in flight.  Fast engine: amortized O(1) via the
-    monotone frontier when [from <=] the last answer (the only pattern
-    schedulers use); evictions clamp the frontier back. *)
+(** The queries answer with int sentinels ([-1] for "none") so that a
+    scheduler calling them once per decision allocates nothing. *)
 
-val next_missing_on_disk : t -> disk:int -> from:int -> int option
-(** Per-disk variant with its own monotone frontier. *)
+val next_missing_pos : t -> int
+(** First position at or after the cursor whose block is neither cached
+    nor in flight, or [-1] if there is none.  Fast engine: amortized O(1)
+    via a monotone frontier; evictions clamp the frontier back. *)
 
-val furthest_cached : t -> from:int -> (int * int) option
+val next_missing_on_disk_pos : t -> disk:int -> int
+(** Per-disk variant (only blocks living on [disk]), with its own
+    monotone frontier; [-1] if there is none. *)
+
+val furthest_cached_block : t -> from:int -> int
 (** The cached block whose next reference measured from [from] is furthest
-    in the future (ties broken towards smaller ids), with that reference
+    in the future (ties broken towards smaller ids), or [-1] if the cache
+    is empty.  {!furthest_cached_next} then returns that reference
     position ([Instance.length] meaning "never again").  Fast engine:
     O(log k) amortized from the eviction-candidate heap, plus an
     O(from - cursor) re-scoring pass when querying beyond the cursor
     (Delay's d' window). *)
 
+val furthest_cached_next : t -> int
+(** The next reference of the block the last {!furthest_cached_block}
+    call returned ([-1] after an empty answer). *)
+
 (** {1 Actions} *)
 
 val start_fetch : ?disk:int -> t -> block:int -> evict:int option -> unit
-(** Initiate a fetch at the current instant.  Preconditions (checked by
-    assertions): the disk is idle, the block is absent and not in flight,
-    and the evicted block (if any) is resident. *)
+(** Initiate a fetch at the current instant.  Preconditions: the disk is
+    idle, the block is neither resident nor in flight, and the evicted
+    block (if any) is resident.
+    @raise Simulate.Internal_error (component ["driver"]) when one fails:
+    a scheduler bug, reported the same way with or without [-noassert]. *)
 
 (** {1 Results} *)
 

@@ -20,25 +20,22 @@ let schedule (inst : Instance.t) : Fetch_op.schedule =
     let inst = Driver.instance d in
     for disk = 0 to inst.Instance.num_disks - 1 do
       if not (Driver.disk_busy d disk) then begin
-        let missing =
-          if inst.Instance.num_disks = 1 then Driver.next_missing d
-          else Driver.next_missing_on_disk d ~disk ~from:(Driver.cursor d)
+        let p =
+          if inst.Instance.num_disks = 1 then Driver.next_missing_pos d
+          else Driver.next_missing_on_disk_pos d ~disk
         in
-        match missing with
-        | None -> ()
-        | Some p ->
-          (* Only start once the cursor is within the horizon: p - cursor
-             <= F.  (If the disk was busy at the horizon point we are
-             already late and start immediately.) *)
-          if p - Driver.cursor d <= f then begin
-            let block = seq.(p) in
-            if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
-            else begin
-              match Driver.furthest_cached d ~from:(Driver.cursor d) with
-              | Some (e, next) when next > p -> Driver.start_fetch d ~disk ~block ~evict:(Some e)
-              | Some _ | None -> ()
-            end
+        (* Only start once the cursor is within the horizon: p - cursor
+           <= F.  (If the disk was busy at the horizon point we are
+           already late and start immediately.) *)
+        if p >= 0 && p - Driver.cursor d <= f then begin
+          let block = seq.(p) in
+          if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
+          else begin
+            let e = Driver.furthest_cached_block d ~from:(Driver.cursor d) in
+            if e >= 0 && Driver.furthest_cached_next d > p then
+              Driver.start_fetch d ~disk ~block ~evict:(Some e)
           end
+        end
       end
     done
   in

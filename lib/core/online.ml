@@ -49,10 +49,8 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
          a single disk nothing is in flight, so the driver query's
          in-flight exclusion is vacuous and this matches a plain
          is-it-cached scan. *)
-      match Driver.next_missing d with
-      | None -> ()
-      | Some j when j >= horizon -> ()
-      | Some j ->
+      let j = Driver.next_missing_pos d in
+      if j >= 0 && j < horizon then begin
         let i = c in
         let d' = Stdlib.min cfg.delay (j - i) in
         (* Furthest-next-reference within the window measured after i + d';
@@ -87,6 +85,7 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
                   see), including inside the delay window [i, i + d') -
                   otherwise wait for those requests to be served first *)
                Driver.start_fetch d ~block:seq.(j) ~evict:(Some victim))
+      end
     end
   in
   Driver.schedule (Driver.run inst ~decide)
@@ -103,18 +102,19 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
      Entries are (re-)added whenever a request is served, by a monotone
      [scanned] sweep, plus one entry per initial-cache block at
      last-use -1; keys are therefore always current for resident blocks.
-     [peek] discards entries that are non-resident or visible - both
-     permanent states until the block's next serve re-adds it (a block's
-     next reference is fixed while it sits in cache, and the horizon
-     never moves backwards), so discarding loses nothing.  A block
+     The victim search discards entries that are non-resident or
+     visible - both permanent states until the block's next serve
+     re-adds it (a block's next reference is fixed while it sits in
+     cache, and the horizon never moves backwards), so discarding loses
+     nothing.  A block
      fetched for miss position j is visible (its next reference IS j)
      until served at j, hence never missed by the lazy heap.
    - Class B - a reference inside the delay window [i, i + d') but none
      in [i + d', horizon).  At most d' candidates, enumerated directly.
 
-   When neither class has a member, every cached block is visible and the
-   driver's {!Driver.furthest_cached} heap yields the reference fold's
-   victim (same strict-max, smaller-id tie-break). *)
+   When neither class has a member, every cached block is visible and
+   the driver's heap ({!Driver.furthest_cached_block}) yields the
+   reference fold's victim (same strict-max, smaller-id tie-break). *)
 let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
   let n = Instance.length inst in
   let seq = inst.Instance.seq in
@@ -137,59 +137,61 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
         incr scanned
       done;
       let horizon = Stdlib.min n (c + cfg.lookahead) in
-      match Driver.next_missing d with
-      | None -> ()
-      | Some j when j >= horizon -> ()
-      | Some j ->
+      let j = Driver.next_missing_pos d in
+      if j >= 0 && j < horizon then begin
         let i = c in
         let d' = Stdlib.min cfg.delay (j - i) in
         if not (Driver.cache_full d) then
           Driver.start_fetch d ~block:seq.(j) ~evict:None
         else begin
-          let rec top_a () =
-            match Evict_heap.peek heap with
-            | None -> None
-            | Some (m, key) ->
+          (* Best invisible victim as (block, last use); -1 for none.
+             Class A first: the live LRU top, after discarding entries
+             that are non-resident or visible. *)
+          let best = ref (-1) and best_lu = ref 0 in
+          let searching = ref true in
+          while !searching do
+            let m = Evict_heap.top_block heap in
+            if m < 0 then searching := false
+            else begin
               let b = mirror m in
-              if (not (Driver.in_cache d b))
-                 || Next_ref.next_at_or_after nr b c < horizon
-              then begin
-                Evict_heap.remove heap ~block:m;
-                top_a ()
+              if (not (Driver.in_cache d b)) || Next_ref.next_at_or_after nr b c < horizon then
+                Evict_heap.remove heap ~block:m
+              else begin
+                best := b;
+                best_lu := n - Evict_heap.top_key heap;
+                searching := false
               end
-              else Some (b, n - key)  (* (block, last use) *)
-          in
-          let best = ref (top_a ()) in
+            end
+          done;
           for p = i to i + d' - 1 do
             let b = seq.(p) in
             if Driver.in_cache d b
                && Next_ref.next_at_or_after nr b (i + d') >= horizon
             then begin
               let lu = Next_ref.prev_before nr b c in
-              let better =
-                match !best with
-                | None -> true
-                | Some (b0, lu0) -> lu < lu0 || (lu = lu0 && b > b0)
-              in
-              if better then best := Some (b, lu)
+              if !best < 0 || lu < !best_lu || (lu = !best_lu && b > !best) then begin
+                best := b;
+                best_lu := lu
+              end
             end
           done;
-          match !best with
-          | Some (v, _) ->
+          if !best >= 0 then begin
             (* Class A passes the consistency gate by construction
                (nx >= horizon > j); a class-B best is still requested
                inside the delay window, so hold the fetch until those
                requests are served - the reference applies the same
                nx-from-cursor test. *)
+            let v = !best in
             if Next_ref.next_at_or_after nr v c > j then
               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
-          | None ->
-            (match Driver.furthest_cached d ~from:(i + d') with
-             | Some (v, vnx)
-               when vnx > j && Next_ref.next_at_or_after nr v c > j ->
-               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
-             | _ -> ())
+          end
+          else begin
+            let v = Driver.furthest_cached_block d ~from:(i + d') in
+            if v >= 0 && Driver.furthest_cached_next d > j && Next_ref.next_at_or_after nr v c > j
+            then Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
+          end
         end
+      end
     end
   in
   Driver.schedule (Driver.run inst ~decide)

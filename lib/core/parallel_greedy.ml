@@ -14,16 +14,16 @@ let aggressive_decide d =
   let inst = Driver.instance d in
   for disk = 0 to inst.Instance.num_disks - 1 do
     if not (Driver.disk_busy d disk) then begin
-      match Driver.next_missing_on_disk d ~disk ~from:(Driver.cursor d) with
-      | None -> ()
-      | Some p ->
+      let p = Driver.next_missing_on_disk_pos d ~disk in
+      if p >= 0 then begin
         let block = inst.Instance.seq.(p) in
         if not (Driver.cache_full d) then Driver.start_fetch d ~disk ~block ~evict:None
         else begin
-          match Driver.furthest_cached d ~from:(Driver.cursor d) with
-          | Some (e, next) when next > p -> Driver.start_fetch d ~disk ~block ~evict:(Some e)
-          | Some _ | None -> ()
+          let e = Driver.furthest_cached_block d ~from:(Driver.cursor d) in
+          if e >= 0 && Driver.furthest_cached_next d > p then
+            Driver.start_fetch d ~disk ~block ~evict:(Some e)
         end
+      end
     end
   done
 
@@ -34,29 +34,34 @@ let aggressive_stats inst = Driver.validate ~name:"Aggressive-D" inst (aggressiv
 
 let aggressive_stall inst = (aggressive_stats inst).Simulate.stall_time
 
-(* Conservative-D: MIN replacements dispatched per disk. *)
+(* Conservative-D: MIN replacements dispatched per disk.
+
+   Each decide dispatches a consecutive prefix of the MIN replacement
+   list: stopping at the first non-startable fetch preserves MIN's
+   eviction-order invariants (a later replacement may rely on an earlier
+   one having happened), while consecutive fetches on different disks
+   still start in the same instant and overlap. *)
 let conservative_schedule (inst : Instance.t) : Fetch_op.schedule =
-  let pending = ref (Conservative.plan inst) in
+  let nr = Next_ref.of_instance inst in
+  let p = Conservative.plan ~nr inst in
+  let m = Array.length p.Conservative.fetched in
+  let next = ref 0 in
   let decide d =
-    (* Dispatch a consecutive prefix of the MIN replacement list: stopping
-       at the first non-startable fetch preserves MIN's eviction-order
-       invariants (a later replacement may rely on an earlier one having
-       happened), while consecutive fetches on different disks still start
-       in the same instant and overlap. *)
-    let rec dispatch = function
-      | [] -> []
-      | (p : Conservative.pending) :: rest as all ->
-        let disk = (Driver.instance d).Instance.disk_of.(p.Conservative.fetched) in
-        if (not (Driver.disk_busy d disk)) && Driver.cursor d >= p.Conservative.eligible_cursor
-        then begin
-          Driver.start_fetch d ~disk ~block:p.Conservative.fetched ~evict:p.Conservative.evicted;
-          dispatch rest
-        end
-        else all
-    in
-    pending := dispatch !pending
+    let blocked = ref false in
+    while (not !blocked) && !next < m do
+      let r = !next in
+      let block = p.Conservative.fetched.(r) in
+      let disk = inst.Instance.disk_of.(block) in
+      if (not (Driver.disk_busy d disk)) && Driver.cursor d >= p.Conservative.eligible_cursor.(r)
+      then begin
+        let e = p.Conservative.evicted.(r) in
+        Driver.start_fetch d ~disk ~block ~evict:(if e < 0 then None else Some e);
+        next := r + 1
+      end
+      else blocked := true
+    done
   in
-  Driver.schedule (Driver.run inst ~decide)
+  Driver.schedule (Driver.run ~nr inst ~decide)
 
 let conservative_stats inst =
   Driver.validate ~name:"Conservative-D" inst (conservative_schedule inst)

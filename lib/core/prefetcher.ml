@@ -30,16 +30,17 @@
 let aggressive () : Stream.policy =
   let prefetch t =
     if not (Stream.disk_busy t) then begin
-      match Stream.next_missing t with
-      | None -> ()
-      | Some p ->
+      let p = Stream.next_missing_pos t in
+      if p >= 0 then begin
         let block = Stream.request_at t p in
         if Stream.has_free_slot t then Stream.start_fetch t ~block ~evict:None
         else begin
-          match Stream.furthest_cached t ~from:(Stream.cursor t) with
-          | Some (e, next) when next > p -> Stream.start_fetch t ~block ~evict:(Some e)
-          | Some _ | None -> ()  (* every cached block is requested before p *)
+          let e = Stream.furthest_cached_block t ~from:(Stream.cursor t) in
+          (* otherwise every cached block is requested before p *)
+          if e >= 0 && Stream.furthest_cached_next t > p then
+            Stream.start_fetch t ~block ~evict:(Some e)
         end
+      end
     end
   in
   { (Stream.passive_policy "aggressive") with prefetch }
@@ -52,53 +53,51 @@ let aggressive () : Stream.policy =
    inside the window, so the windowed prev/next queries agree with the
    full-trace ones whenever the batch algorithm would look at them. *)
 
-type committed = { c_block : int; c_evict : int; c_eligible : int }
+(* The committed fetch as flat ints; [c_block = -1]: nothing committed. *)
+type committed = { mutable c_block : int; mutable c_evict : int; mutable c_eligible : int }
 
 let delay ~d () : Stream.policy =
   if d < 0 then invalid_arg "Prefetcher.delay: d must be non-negative";
-  let pending : committed option ref = ref None in
+  let pending = { c_block = -1; c_evict = -1; c_eligible = 0 } in
+  let commit t ~j ~evict ~eligible =
+    pending.c_block <- Stream.request_at t j;
+    pending.c_evict <- evict;
+    pending.c_eligible <- eligible
+  in
+  let commit_victim t ~i ~j b =
+    (* Earliest initiation: after the victim's last request before j
+       (batch semantics; in-window positions below the cursor have been
+       pruned, which the [p >= i] guard absorbs exactly like the batch
+       code). *)
+    let p = Stream.prev_ref t ~block:b ~before:j in
+    commit t ~j ~evict:b ~eligible:(if p >= i then p + 1 else i)
+  in
   let prefetch t =
     if not (Stream.disk_busy t) then begin
-      (match !pending with
-       | Some _ -> ()
-       | None ->
-         let i = Stream.cursor t in
-         (match Stream.next_missing t with
-          | None -> ()
-          | Some j ->
-            let commit b =
-              (* Earliest initiation: after the victim's last request
-                 before j (batch semantics; in-window positions below
-                 the cursor have been pruned, which the [p >= i] guard
-                 absorbs exactly like the batch code). *)
-              let eligible =
-                match Stream.prev_ref t ~block:b ~before:j with
-                | p when p >= i -> p + 1
-                | _ -> i
-              in
-              pending :=
-                Some { c_block = Stream.request_at t j; c_evict = b; c_eligible = eligible }
-            in
-            if Stream.has_free_slot t then
-              pending :=
-                Some { c_block = Stream.request_at t j; c_evict = -1; c_eligible = i }
-            else begin
-              match Stream.furthest_cached t ~from:i with
-              | Some (b0, nx) when nx > j ->
-                let d' = Stdlib.min d (j - i) in
-                if d' = 0 then commit b0
-                else
-                  (match Stream.furthest_cached t ~from:(i + d') with
-                   | None -> ()
-                   | Some (b, _) -> commit b)
-              | _ -> ()  (* every cached block is requested before j *)
-            end));
-      (match !pending with
-       | Some c when Stream.cursor t >= c.c_eligible ->
-         Stream.start_fetch t ~block:c.c_block
-           ~evict:(if c.c_evict < 0 then None else Some c.c_evict);
-         pending := None
-       | _ -> ())
+      if pending.c_block < 0 then begin
+        let i = Stream.cursor t in
+        let j = Stream.next_missing_pos t in
+        if j >= 0 then begin
+          if Stream.has_free_slot t then commit t ~j ~evict:(-1) ~eligible:i
+          else begin
+            let b0 = Stream.furthest_cached_block t ~from:i in
+            (* otherwise every cached block is requested before j *)
+            if b0 >= 0 && Stream.furthest_cached_next t > j then begin
+              let d' = Stdlib.min d (j - i) in
+              if d' = 0 then commit_victim t ~i ~j b0
+              else begin
+                let b = Stream.furthest_cached_block t ~from:(i + d') in
+                if b >= 0 then commit_victim t ~i ~j b
+              end
+            end
+          end
+        end
+      end;
+      if pending.c_block >= 0 && Stream.cursor t >= pending.c_eligible then begin
+        Stream.start_fetch t ~block:pending.c_block
+          ~evict:(if pending.c_evict < 0 then None else Some pending.c_evict);
+        pending.c_block <- -1
+      end
     end
   in
   { (Stream.passive_policy (Printf.sprintf "delay(%d)" d)) with prefetch }
@@ -125,11 +124,12 @@ let try_speculative t ~want =
     Stream.in_cache t cur || Stream.block_in_flight t cur
   then begin
     if Stream.has_free_slot t then Stream.start_fetch t ~block:want ~evict:None
-    else
-      match Stream.furthest_cached t ~from:(Stream.cursor t) with
-      | Some (e, next) when next = Stream.horizon ->
+    else begin
+      let e = Stream.furthest_cached_block t ~from:(Stream.cursor t) in
+      (* otherwise everything cached is still wanted; don't pollute *)
+      if e >= 0 && Stream.furthest_cached_next t = Stream.horizon then
         Stream.start_fetch t ~block:want ~evict:(Some e)
-      | Some _ | None -> ()  (* everything cached is still wanted; don't pollute *)
+    end
   end
 
 (* One-block lookahead: every reference to b predicts b+1 (the classic

@@ -14,9 +14,9 @@ val reverse_instance : Instance.t -> Instance.t
 (** The reversed instance used for the guidance run (warm initial cache of
     the reversed sequence). *)
 
-val eviction_hints : Instance.t -> (int, int) Hashtbl.t
-(** block [b] -> preferred victim when fetching [b], harvested from the
-    reverse run. *)
+val eviction_hints : Instance.t -> int array
+(** block [b] -> preferred victim when fetching [b] ([-1] for none),
+    harvested from the reverse run. *)
 
 val schedule : Instance.t -> Fetch_op.schedule
 

@@ -86,24 +86,7 @@ let uniform ~seed ~num_blocks =
   { name = "uniform"; pull = (fun () -> Some (Random.State.int st num_blocks)) }
 
 let zipf ~seed ~alpha ~num_blocks =
-  let st = rng seed in
-  let weights = Array.init num_blocks (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) alpha) in
-  let cdf = Array.make num_blocks 0.0 in
-  let total = ref 0.0 in
-  Array.iteri
-    (fun i w ->
-       total := !total +. w;
-       cdf.(i) <- !total)
-    weights;
-  let sample () =
-    let x = Random.State.float st !total in
-    let lo = ref 0 and hi = ref (num_blocks - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) >= x then hi := mid else lo := mid + 1
-    done;
-    !lo
-  in
+  let sample = Workload.zipf_sampler ~seed ~alpha ~num_blocks in
   { name = "zipf"; pull = (fun () -> Some (sample ())) }
 
 let sequential_scan ~num_blocks =
@@ -152,6 +135,7 @@ type t = {
   mutable fly_end : int;
   mutable reach_cur : int;  (* first instant the cursor reached its position *)
   mutable missing_from : int;  (* [cursor, missing_from) holds no missing position *)
+  mutable fc_next : int;  (* next ref of the last [furthest_cached_block] answer *)
   mutable found_upto : int;  (* positions whose on_find already fired *)
   mutable max_block_seen : int;
   mutable ops_rev : Fetch_op.t list;
@@ -221,22 +205,29 @@ let next_ref t ~block ~from = Win_ref.next_at_or_after t.wr block ~from
 let prev_ref t ~block ~before = Win_ref.prev_before t.wr block ~before
 
 (* First window position >= cursor whose block is neither cached nor in
-   flight, or None within the lookahead.  Monotone-frontier accelerated
+   flight, or -1 within the lookahead.  Monotone-frontier accelerated
    exactly like the batch Fast engine: positions in [cursor,
    missing_from) are known non-missing, and the only transition that
    re-opens one is an eviction, which clamps the frontier. *)
-let next_missing t =
+let next_missing_pos t =
   let hi = Win_ref.filled t.wr in
-  let rec scan p =
-    if p >= hi then None
-    else
-      let s = Win_ref.slot_at t.wr p in
-      if resident t s || s = t.fly_slot then scan (p + 1) else Some p
-  in
-  let r = scan (Stdlib.max t.missing_from t.cursor) in
-  t.missing_from <- (match r with Some p -> p | None -> hi);
-  r
-
+  let p = ref (if t.missing_from >= t.cursor then t.missing_from else t.cursor) in
+  while
+    !p < hi
+    &&
+    let s = Win_ref.slot_at t.wr !p in
+    resident t s || s = t.fly_slot
+  do
+    incr p
+  done;
+  if !p >= hi then begin
+    t.missing_from <- hi;
+    -1
+  end
+  else begin
+    t.missing_from <- !p;
+    !p
+  end
 (* The cached block whose next in-window reference measured from [from]
    is furthest in the future; ties towards the smallest block id,
    matching the batch Reference scan's ascending strict-[>] semantics.
@@ -246,24 +237,37 @@ let next_missing t =
    measured from the cursor, so for [from > cursor] (Delay's d' offset)
    the blocks whose key undershoots are precisely those referenced at
    window positions [cursor, from) - a short linear pass re-scores them,
-   and the heap top covers every block with key >= from. *)
-let furthest_cached t ~from =
+   and the heap top covers every block with key >= from.  Answers the
+   raw block id (-1 for an empty cache) and leaves its next reference
+   in [fc_next]. *)
+let furthest_cached_block t ~from =
   let best = ref (-1) and best_next = ref (-1) in
-  let consider b nx =
-    if nx > !best_next || (nx = !best_next && b < !best) then begin
-      best_next := nx;
-      best := b
-    end
-  in
-  for p = t.cursor to Stdlib.min from (Win_ref.filled t.wr) - 1 do
+  let hi = Win_ref.filled t.wr in
+  for p = t.cursor to (if from <= hi then from else hi) - 1 do
     let s = Win_ref.slot_at t.wr p in
-    if resident t s then consider (id t s) (Win_ref.slot_next t.wr s ~from)
+    if resident t s then begin
+      let b = id t s and nx = Win_ref.slot_next t.wr s ~from in
+      if nx > !best_next || (nx = !best_next && b < !best) then begin
+        best_next := nx;
+        best := b
+      end
+    end
   done;
-  (match Evict_heap.peek t.heap with
-   | Some (s, key) when key >= from -> consider (id t s) key
-   | Some _ | None -> ());
-  if !best < 0 then None else Some (!best, !best_next)
+  let s = Evict_heap.top_block t.heap in
+  if s >= 0 then begin
+    let key = Evict_heap.top_key t.heap in
+    if key >= from then begin
+      let b = id t s in
+      if key > !best_next || (key = !best_next && b < !best) then begin
+        best_next := key;
+        best := b
+      end
+    end
+  end;
+  t.fc_next <- !best_next;
+  !best
 
+let furthest_cached_next t = t.fc_next
 (* Residency changes flow through these two so the heap and the slot's
    pin (taken by [start_fetch], dropped at eviction) never drift. *)
 let cache_add t s =
@@ -335,6 +339,7 @@ let create ~k ~fetch_time ~window ~record_schedule ~initial_cache src pol =
       fly_end = 0;
       reach_cur = 0;
       missing_from = 0;
+      fc_next = -1;
       found_upto = 0;
       max_block_seen = -1;
       ops_rev = [];
@@ -415,9 +420,9 @@ let demand_fetch t =
       let evict =
         if has_free_slot t then None
         else
-          match furthest_cached t ~from:t.cursor with
-          | Some (e, _) -> Some e
-          | None -> internal_error t "demand fetch of b%d with full empty cache" b
+          let e = furthest_cached_block t ~from:t.cursor in
+          if e < 0 then internal_error t "demand fetch of b%d with full empty cache" b
+          else Some e
       in
       t.demand_fetches <- t.demand_fetches + 1;
       start_fetch t ~block:b ~evict

@@ -136,17 +136,24 @@ val next_ref : t -> block:int -> from:int -> int
 val prev_ref : t -> block:int -> before:int -> int
 (** Last in-window position [< before] requesting [block], or [-1]. *)
 
-val next_missing : t -> int option
+val next_missing_pos : t -> int
 (** First window position [>= cursor] whose block is neither resident
-    nor in flight, or [None] within the current lookahead.  Amortized
-    O(1) via a monotone frontier, mirroring the batch Fast engine. *)
+    nor in flight, or [-1] within the current lookahead.  Amortized
+    O(1) via a monotone frontier, mirroring the batch Fast engine;
+    allocates nothing. *)
 
-val furthest_cached : t -> from:int -> (int * int) option
+val furthest_cached_block : t -> from:int -> int
 (** The resident block whose next in-window reference at or after
     [from] is furthest in the future (unreferenced blocks score
-    {!horizon}), with that position; ties break towards the smallest
-    block id, matching the batch Reference semantics.  [None] iff the
-    cache is empty. *)
+    {!horizon}); ties break towards the smallest block id, matching the
+    batch Reference semantics.  [-1] iff the cache is empty.
+    {!furthest_cached_next} then returns that reference position.
+    Allocates nothing. *)
+
+val furthest_cached_next : t -> int
+(** The next in-window reference of the block the last
+    {!furthest_cached_block} call returned ([-1] after an empty
+    answer). *)
 
 val start_fetch : t -> block:int -> evict:int option -> unit
 (** Initiate a fetch at the current instant; the block becomes resident

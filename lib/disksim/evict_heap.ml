@@ -1,6 +1,6 @@
 (* Lazy-invalidation max-heap of eviction candidates.
 
-   Backs Driver.furthest_cached: one entry per resident block, keyed by
+   Backs Driver.furthest_cached_block: one entry per resident block, keyed by
    the position of the block's next reference, ordered (key desc, rank
    asc) so the heap top is exactly what the seed driver's ascending-id
    strict-> scan over all blocks returned - the largest key, ties broken
@@ -11,10 +11,11 @@
 
    Invalidation is lazy: [remove] and re-keying [add]s only bump the
    block's stamp; superseded entries stay in the heap and are discarded
-   when they surface during [peek].  Every push therefore pays for at
-   most one future stale pop, so m operations cost O(m log m) total.  A
-   background compaction bounds the heap at O(live) entries even for
-   callers that push (serve re-keys) much more often than they peek. *)
+   when they surface at the top ([peek], [top_block], [top_key]).  Every
+   push therefore pays for at most one future stale pop, so m operations
+   cost O(m log m) total.  A background compaction bounds the heap at
+   O(live) entries even for callers that push (serve re-keys) much more
+   often than they peek. *)
 
 type t = {
   mutable key : int array;     (* heap slot -> key *)
@@ -155,14 +156,29 @@ let pop_top t =
     sift_down t 0
   end
 
-let rec peek t =
-  if t.len = 0 then None
-  else if is_stale t 0 then begin
+(* Discard superseded entries that surfaced at the top: afterwards slot
+   0, if any, holds the live maximum. *)
+let rec settle t =
+  if t.len > 0 && is_stale t 0 then begin
     t.stale_pops <- t.stale_pops + 1;
     pop_top t;
-    peek t
+    settle t
   end
-  else Some (t.blk.(0), t.key.(0))
+
+(* The allocation-free top: hot paths read the block and its key as two
+   ints instead of an option of a pair.  Each settles first; the second
+   call of a pair finds the top already live. *)
+let top_block t =
+  settle t;
+  if t.len = 0 then -1 else t.blk.(0)
+
+let top_key t =
+  settle t;
+  if t.len = 0 then -1 else t.key.(0)
+
+let peek t =
+  settle t;
+  if t.len = 0 then None else Some (t.blk.(0), t.key.(0))
 
 let pushes t = t.pushes
 let stale_pops t = t.stale_pops

@@ -9,9 +9,9 @@
 
     [remove] and re-keying [add]s invalidate lazily (a per-block stamp
     bump); superseded entries are discarded when they surface at the top
-    during [peek], and an internal compaction keeps the heap at O(live)
-    entries under re-key-heavy workloads.  All operations are O(log live)
-    amortized. *)
+    ({!peek}, {!top_block}, {!top_key}), and an internal compaction
+    keeps the heap at O(live) entries under re-key-heavy workloads.  All
+    operations are O(log live) amortized. *)
 
 type t
 
@@ -39,6 +39,16 @@ val peek : t -> (int * int) option
 (** [(block, key)] with the maximum key (ties: smallest rank), or
     [None] if no live entries remain. *)
 
+val top_block : t -> int
+(** The block {!peek} would return, or [-1] if no live entries remain.
+    Allocates nothing: hot paths read the top as [top_block] then
+    {!top_key} instead of matching an option of a pair. *)
+
+val top_key : t -> int
+(** The key {!peek} would return, or [-1] if no live entries remain.
+    Both discard superseded entries at the top first, exactly as [peek]
+    does (and count them in {!stale_pops}). *)
+
 val mem : t -> int -> bool
 val key_of : t -> int -> int
 (** The block's live key, or [-1] if it has no live entry (as for any
@@ -60,7 +70,7 @@ val pushes : t -> int
 (** Heap pushes, counting both fresh inserts and re-keying [add]s. *)
 
 val stale_pops : t -> int
-(** Superseded entries discarded when they surfaced during [peek]. *)
+(** Superseded entries discarded when they surfaced at the top. *)
 
 val compactions : t -> int
 (** In-place compactions triggered by the stale-entry bound. *)

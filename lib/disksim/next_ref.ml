@@ -4,15 +4,24 @@
    Conservative's MIN replacements, the LP normalization properties) needs
    "when is block b next requested at or after position i?" in O(1) or
    O(log) time.  We precompute, for every position, the next occurrence of
-   the block requested there, and keep per-block sorted position lists for
-   arbitrary (position, block) queries. *)
+   the block requested there, and keep each block's sorted positions for
+   arbitrary (position, block) queries.
+
+   The positions are stored CSR-style: block b's positions are
+   [pos.(off.(b)) .. pos.(off.(b + 1) - 1)], all blocks in one flat array
+   filled by a counting sort.  Three passes over the sequence and three
+   int arrays (plus one scratch array per block): no per-block list or
+   array, so the build allocates O(1) words per request, not a list cell
+   each. *)
 
 type t = {
   n : int;
   next_same : int array;
   (* next_same.(i) = smallest j > i with seq.(j) = seq.(i), or n. *)
-  first_at_or_after : int array array;
-  (* first_at_or_after.(b) = sorted positions of block b. *)
+  off : int array;
+  (* off.(b) = index in [pos] of block b's first position; length num_blocks + 1. *)
+  pos : int array;
+  (* every position, grouped by block, ascending within a block. *)
 }
 
 let infinity_pos t = t.n
@@ -20,53 +29,66 @@ let infinity_pos t = t.n
 
 let build (seq : int array) ~num_blocks =
   let n = Array.length seq in
+  let off = Array.make (num_blocks + 1) 0 in
+  for i = 0 to n - 1 do
+    let b = seq.(i) in
+    off.(b + 1) <- off.(b + 1) + 1
+  done;
+  for b = 1 to num_blocks do
+    off.(b) <- off.(b) + off.(b - 1)
+  done;
+  (* [fill.(b)] walks block b's segment as the forward pass places its
+     positions; the backward pass then reuses it as "last position of b
+     seen so far". *)
+  let fill = Array.sub off 0 num_blocks in
+  let pos = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let b = seq.(i) in
+    pos.(fill.(b)) <- i;
+    fill.(b) <- fill.(b) + 1
+  done;
+  Array.fill fill 0 num_blocks n;
   let next_same = Array.make n n in
-  let last_seen = Array.make num_blocks n in
   for i = n - 1 downto 0 do
-    next_same.(i) <- last_seen.(seq.(i));
-    last_seen.(seq.(i)) <- i
+    let b = seq.(i) in
+    next_same.(i) <- fill.(b);
+    fill.(b) <- i
   done;
-  let positions = Array.make num_blocks [] in
-  for i = n - 1 downto 0 do
-    positions.(seq.(i)) <- i :: positions.(seq.(i))
-  done;
-  { n; next_same; first_at_or_after = Array.map Array.of_list positions }
+  { n; next_same; off; pos }
 
 let of_instance (inst : Instance.t) = build inst.Instance.seq ~num_blocks:(Instance.num_blocks inst)
 
 (* Next occurrence of the block at position i, strictly after i. *)
 let next_after_same t i = t.next_same.(i)
 
+(* Index in [pos] of block b's first position >= p (its segment end if
+   none): a binary search over the block's CSR segment. *)
+let lower_bound t b p =
+  let lo = ref t.off.(b) and hi = ref t.off.(b + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.pos.(mid) >= p then hi := mid else lo := mid + 1
+  done;
+  !lo
+
 (* Smallest position >= pos at which block b is requested, or n if none. *)
 let next_at_or_after t b pos =
-  let ps = t.first_at_or_after.(b) in
-  let lo = ref 0 and hi = ref (Array.length ps) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if ps.(mid) >= pos then hi := mid else lo := mid + 1
-  done;
-  if !lo < Array.length ps then ps.(!lo) else t.n
+  let r = lower_bound t b pos in
+  if r < t.off.(b + 1) then t.pos.(r) else t.n
 
 (* Smallest position > pos at which block b is requested, or n if none. *)
 let next_strictly_after t b pos = next_at_or_after t b (pos + 1)
 
 (* Largest position < pos at which block b is requested, or -1 if none. *)
 let prev_before t b pos =
-  let ps = t.first_at_or_after.(b) in
-  let lo = ref 0 and hi = ref (Array.length ps) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if ps.(mid) >= pos then hi := mid else lo := mid + 1
-  done;
-  if !lo = 0 then -1 else ps.(!lo - 1)
+  let r = lower_bound t b pos in
+  if r = t.off.(b) then -1 else t.pos.(r - 1)
 
 let is_requested_at_or_after t b pos = next_at_or_after t b pos < t.n
 
 (* Number of requests to block b. *)
-let count t b = Array.length t.first_at_or_after.(b)
+let count t b = t.off.(b + 1) - t.off.(b)
 
-let first_request t b = if count t b = 0 then t.n else t.first_at_or_after.(b).(0)
+let first_request t b = if count t b = 0 then t.n else t.pos.(t.off.(b))
 
-let last_request t b =
-  let c = count t b in
-  if c = 0 then -1 else t.first_at_or_after.(b).(c - 1)
+let last_request t b = if count t b = 0 then -1 else t.pos.(t.off.(b + 1) - 1)

@@ -23,15 +23,19 @@ type result = {
 (* Per-policy hit/miss/eviction counters, reported once per run (the
    counter lookup is inside the enabled-gate, so disabled runs pay one
    branch). *)
-let report policy ~n (r : result) : result =
+let report_counts policy ~n ~misses ~evictions =
   if Telemetry.enabled () then begin
     let c suffix = Telemetry.counter (Printf.sprintf "paging.%s.%s" policy suffix) in
     Telemetry.add (c "requests") n;
-    Telemetry.add (c "misses") r.misses;
-    Telemetry.add (c "hits") (n - r.misses);
-    Telemetry.add (c "evictions")
-      (List.length (List.filter (fun rep -> rep.evicted <> None) r.replacements))
-  end;
+    Telemetry.add (c "misses") misses;
+    Telemetry.add (c "hits") (n - misses);
+    Telemetry.add (c "evictions") evictions
+  end
+
+let report policy ~n (r : result) : result =
+  if Telemetry.enabled () then
+    report_counts policy ~n ~misses:r.misses
+      ~evictions:(List.length (List.filter (fun rep -> rep.evicted <> None) r.replacements));
   r
 
 let run_generic ~choose_victim (inst : Instance.t) : result =
@@ -100,11 +104,10 @@ let min_offline (inst : Instance.t) : result =
    still the first reference at or after the miss position.  The heap
    top is therefore the fold's argmax, and the emitted replacements are
    byte-identical (test_paging pins this on the fuzz corpus). *)
-let min_offline_fast (inst : Instance.t) : result =
+let min_fast_pass ~nr (inst : Instance.t) ~on_miss =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
   let k = inst.Instance.cache_size in
-  let nr = Next_ref.of_instance inst in
   let in_cache = Array.make num_blocks false in
   let heap = Evict_heap.create ~num_blocks in
   let count = ref 0 in
@@ -114,8 +117,7 @@ let min_offline_fast (inst : Instance.t) : result =
        incr count;
        Evict_heap.add heap ~block:b ~key:(Next_ref.next_at_or_after nr b 0))
     inst.Instance.initial_cache;
-  let replacements = ref [] in
-  let misses = ref 0 in
+  let misses = ref 0 and evictions = ref 0 in
   for i = 0 to n - 1 do
     let b = inst.Instance.seq.(i) in
     if in_cache.(b) then
@@ -126,28 +128,43 @@ let min_offline_fast (inst : Instance.t) : result =
       let evicted =
         if !count < k then begin
           incr count;
-          None
+          -1
         end
         else begin
-          match Evict_heap.peek heap with
-          | None -> None  (* k = 0 never happens: Instance validates k >= 1 *)
-          | Some (v, _) ->
+          (* k = 0 never happens (Instance validates k >= 1): the full
+             cache always has a top. *)
+          let v = Evict_heap.top_block heap in
+          if v >= 0 then begin
+            incr evictions;
             in_cache.(v) <- false;
-            Evict_heap.remove heap ~block:v;
-            Some v
+            Evict_heap.remove heap ~block:v
+          end;
+          v
         end
       in
       in_cache.(b) <- true;
       Evict_heap.add heap ~block:b ~key:(Next_ref.next_after_same nr i);
-      replacements := { position = i; fetched = b; evicted } :: !replacements
+      on_miss ~position:i ~fetched:b ~evicted
     end
   done;
+  report_counts "min" ~n ~misses:!misses ~evictions:!evictions;
+  in_cache
+
+let min_offline_iter ~nr inst ~on_miss = ignore (min_fast_pass ~nr inst ~on_miss : bool array)
+
+let min_offline_fast (inst : Instance.t) : result =
+  let replacements = ref [] and misses = ref 0 in
+  let in_cache =
+    min_fast_pass ~nr:(Next_ref.of_instance inst) inst ~on_miss:(fun ~position ~fetched ~evicted ->
+      incr misses;
+      let evicted = if evicted < 0 then None else Some evicted in
+      replacements := { position; fetched; evicted } :: !replacements)
+  in
   let final = ref [] in
-  for b = num_blocks - 1 downto 0 do
+  for b = Array.length in_cache - 1 downto 0 do
     if in_cache.(b) then final := b :: !final
   done;
-  report "min" ~n
-    { replacements = List.rev !replacements; misses = !misses; final_cache = !final }
+  { replacements = List.rev !replacements; misses = !misses; final_cache = !final }
 
 (* LRU needs access recency, so it does not fit [run_generic]'s stateless
    victim choice; implement directly. *)

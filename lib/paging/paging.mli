@@ -30,6 +30,17 @@ val min_offline_fast : Instance.t -> result
     miss.  Conservative's fast path plans through this; the seed
     [min_offline] remains its equivalence oracle. *)
 
+val min_offline_iter :
+  nr:Next_ref.t ->
+  Instance.t ->
+  on_miss:(position:int -> fetched:int -> evicted:int -> unit) ->
+  unit
+(** The {!min_offline_fast} pass without the result list: [on_miss] sees
+    each replacement in request order, [evicted = -1] while the cache is
+    not full.  Reports the same [paging.min.*] counters.  Conservative
+    plans through this into flat arrays; [nr] must be
+    [Next_ref.of_instance inst], the index it also hands to the driver. *)
+
 val lru : Instance.t -> result
 val fifo : Instance.t -> result
 

@@ -39,48 +39,53 @@ let num_buckets = (max_oct - min_oct) * sub
    full width to absorb the nearest-rank rounding in [quantile]. *)
 let relative_error = Float.pow 2.0 (1.0 /. float_of_int sub) -. 1.0
 
+(* The float state lives in a float array, stored unboxed: as mutable
+   float fields of a record that also holds ints, every update in
+   [observe] would allocate a fresh boxed float. *)
 type t = {
   counts : int array;  (* geometric buckets; fixed size, never grows *)
   mutable under : int;  (* observations < 2^min_oct, including <= 0 *)
   mutable count : int;
-  mutable mean : float;  (* Welford running mean *)
-  mutable m2 : float;  (* Welford sum of squared deviations *)
-  mutable minimum : float;
-  mutable maximum : float;
+  moments : float array;  (* [mean; m2; minimum; maximum], see below *)
 }
 
+(* Welford running mean and sum of squared deviations, exact min/max. *)
+let mean_i = 0
+let m2_i = 1
+let min_i = 2
+let max_i = 3
+
+let init_moments a =
+  a.(mean_i) <- 0.0;
+  a.(m2_i) <- 0.0;
+  a.(min_i) <- Float.infinity;
+  a.(max_i) <- Float.neg_infinity
+
 let create () =
-  { counts = Array.make num_buckets 0;
-    under = 0;
-    count = 0;
-    mean = 0.0;
-    m2 = 0.0;
-    minimum = Float.infinity;
-    maximum = Float.neg_infinity }
+  let moments = Array.make 4 0.0 in
+  init_moments moments;
+  { counts = Array.make num_buckets 0; under = 0; count = 0; moments }
 
 let reset t =
   Array.fill t.counts 0 num_buckets 0;
   t.under <- 0;
   t.count <- 0;
-  t.mean <- 0.0;
-  t.m2 <- 0.0;
-  t.minimum <- Float.infinity;
-  t.maximum <- Float.neg_infinity
+  init_moments t.moments
 
 let count t = t.count
-let sum t = t.mean *. float_of_int t.count
+let sum t = t.moments.(mean_i) *. float_of_int t.count
 
-(* Bucket index for v >= 2^min_oct; clamps the top octave. *)
-let bucket_of v =
-  let m, e = Float.frexp v in
-  (* v = m * 2^e with m in [0.5, 1), i.e. v in [2^(e-1), 2^e). *)
-  let oct = e - 1 in
+(* Bucket index for v >= 2^min_oct; clamps the top octave.  Such a v is
+   positive, so its bits are an 11-bit biased exponent (the octave) over
+   a 52-bit fraction whose top [sub_bits] bits are the sub-bucket.
+   Reading them off the bits is exact and allocates nothing (unlike
+   [Float.frexp], which returns a pair); infinities and NaNs carry the
+   maximal exponent and clamp into the top bucket with the rest. *)
+let[@inline always] bucket_of v =
+  let top = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) (52 - sub_bits)) in
+  let oct = (top lsr sub_bits) - 1023 in
   if oct >= max_oct then num_buckets - 1
-  else begin
-    let s = int_of_float ((m *. 2.0 -. 1.0) *. float_of_int sub) in
-    let s = if s < 0 then 0 else if s >= sub then sub - 1 else s in
-    ((oct - min_oct) lsl sub_bits) lor s
-  end
+  else ((oct - min_oct) lsl sub_bits) lor (top land (sub - 1))
 
 let bucket_lower idx =
   let oct = min_oct + (idx lsr sub_bits) in
@@ -96,17 +101,27 @@ let representative idx =
 
 let lower_threshold = Float.ldexp 1.0 min_oct
 
-let observe t v =
+(* Inlined into both entry points so that [observe_int]'s float stays
+   unboxed: a float crossing a function call is boxed, two words per
+   observation on the hot paths that record ints. *)
+let[@inline always] record t v =
   t.count <- t.count + 1;
-  let delta = v -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (v -. t.mean));
-  if v < t.minimum then t.minimum <- v;
-  if v > t.maximum then t.maximum <- v;
+  let a = t.moments in
+  let delta = v -. a.(mean_i) in
+  a.(mean_i) <- a.(mean_i) +. (delta /. float_of_int t.count);
+  a.(m2_i) <- a.(m2_i) +. (delta *. (v -. a.(mean_i)));
+  if v < a.(min_i) then a.(min_i) <- v;
+  if v > a.(max_i) then a.(max_i) <- v;
   if v < lower_threshold then t.under <- t.under + 1
-  else t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1
+  else begin
+    let i = bucket_of v in
+    t.counts.(i) <- t.counts.(i) + 1
+  end
 
-let clamp t v = Float.min t.maximum (Float.max t.minimum v)
+let observe t v = record t v
+let observe_int t v = record t (float_of_int v)
+
+let clamp t v = Float.min t.moments.(max_i) (Float.max t.moments.(min_i) v)
 
 (* Nearest-rank quantile over the buckets: the returned value is the
    representative of the bucket holding the order statistic at
@@ -122,7 +137,7 @@ let quantile t q =
     if rank < t.under then clamp t 0.0
     else begin
       let cum = ref t.under in
-      let result = ref t.maximum in
+      let result = ref t.moments.(max_i) in
       (try
          for i = 0 to num_buckets - 1 do
            cum := !cum + t.counts.(i);
@@ -140,10 +155,10 @@ let summary t : Stats.summary =
   if t.count = 0 then Stats.empty
   else
     { Stats.count = t.count;
-      mean = t.mean;
-      stddev = Float.sqrt (t.m2 /. float_of_int t.count);
-      minimum = t.minimum;
-      maximum = t.maximum;
+      mean = t.moments.(mean_i);
+      stddev = Float.sqrt (t.moments.(m2_i) /. float_of_int t.count);
+      minimum = t.moments.(min_i);
+      maximum = t.moments.(max_i);
       median = quantile t 0.5;
       p90 = quantile t 0.9 }
 

@@ -17,6 +17,9 @@ val reset : t -> unit
 val observe : t -> float -> unit
 (** O(1): one bucket increment plus the Welford update. *)
 
+val observe_int : t -> int -> unit
+(** [observe t (float_of_int v)] without boxing the float. *)
+
 val count : t -> int
 val sum : t -> float
 

@@ -93,7 +93,7 @@ let add c n = if !enabled_flag then c.count <- c.count + n
 let set g v = if !enabled_flag then g.gvalue <- v
 let observe h v = if !enabled_flag then Streaming_hist.observe h v
 
-let observe_int h v = observe h (float_of_int v)
+let observe_int h v = if !enabled_flag then Streaming_hist.observe_int h v
 
 (* ------------------------------------------------------------------ *)
 (* Spans: monotonic-clock duration measurements recorded into a

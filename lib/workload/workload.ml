@@ -17,7 +17,7 @@ let uniform ~seed ~n ~num_blocks =
 
 (* Zipf(alpha) over [0, num_blocks): heavy-tailed popularity, the standard
    stand-in for file/DB access skew. *)
-let zipf ~seed ~alpha ~n ~num_blocks =
+let zipf_sampler ~seed ~alpha ~num_blocks =
   let st = rng seed in
   let weights = Array.init num_blocks (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) alpha) in
   let cdf = Array.make num_blocks 0.0 in
@@ -27,16 +27,36 @@ let zipf ~seed ~alpha ~n ~num_blocks =
        total := !total +. w;
        cdf.(i) <- !total)
     weights;
-  let sample () =
-    let x = Random.State.float st !total in
-    (* binary search for first cdf.(i) >= x *)
-    let lo = ref 0 and hi = ref (num_blocks - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) >= x then hi := mid else lo := mid + 1
+  let total = !total in
+  (* The answer is the first i with cdf.(i) >= x (the last block if
+     rounding leaves none).  A guide table over [m] equal buckets of
+     [0, total) gives each draw a start at or below its answer:
+     guide.(j) is the first i whose cdf lands in bucket j or later, and
+     since the bucket map is monotone, the answer for any x in bucket j
+     lands there too.  The forward scan from it then reads about
+     num_blocks / m cells, against a log2(num_blocks)-step binary
+     search of unpredictable branches. *)
+  let m = 4 * num_blocks in
+  let scale = float_of_int m /. total in
+  let bucket x = Stdlib.min m (int_of_float (x *. scale)) in
+  let guide = Array.make (m + 1) (num_blocks - 1) in
+  let i = ref 0 in
+  for j = 0 to m do
+    while !i < num_blocks - 1 && bucket cdf.(!i) < j do
+      incr i
     done;
-    !lo
-  in
+    guide.(j) <- !i
+  done;
+  fun () ->
+    let x = Random.State.float st total in
+    let i = ref guide.(bucket x) in
+    while !i < num_blocks - 1 && cdf.(!i) < x do
+      incr i
+    done;
+    !i
+
+let zipf ~seed ~alpha ~n ~num_blocks =
+  let sample = zipf_sampler ~seed ~alpha ~num_blocks in
   Array.init n (fun _ -> sample ())
 
 (* Cyclic sequential scan over [0, num_blocks), the pattern that motivates

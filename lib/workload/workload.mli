@@ -14,6 +14,10 @@ val zipf : seed:int -> alpha:float -> n:int -> num_blocks:int -> int array
 (** Zipf(alpha) popularity over [0, num_blocks): block [i] has weight
     [1/(i+1)^alpha]. *)
 
+val zipf_sampler : seed:int -> alpha:float -> num_blocks:int -> unit -> int
+(** The endless draw behind {!zipf}: [zipf ~n] is its first [n] draws.
+    Each draw consumes one float from the seeded state. *)
+
 val sequential_scan : n:int -> num_blocks:int -> int array
 (** Cyclic scan: the pattern that motivates prefetching. *)
 

@@ -10,7 +10,9 @@
    plus a scale-ish smoke, with stall accounting cross-checked through
    the executor.
 
-   Also the unit tests for Evict_heap's lazy invalidation. *)
+   Also the unit tests for Evict_heap's lazy invalidation, the typed
+   errors of Driver.start_fetch, and allocation ceilings for the decide
+   layer and the Next_ref build. *)
 
 let fail_diff ~descr ~alg (fast : Fetch_op.schedule) (ref_ : Fetch_op.schedule) =
   let pp sched =
@@ -201,6 +203,99 @@ let test_heap_compaction () =
   Alcotest.(check (option (pair int int))) "peek correct after churn"
     (Some (2, 1_000_000)) (Evict_heap.peek h)
 
+let test_heap_top_matches_peek () =
+  (* The allocation-free top reads what [peek] returns, settles stale
+     entries the same way (same stale-pop count), and answers -1 when
+     the heap is drained. *)
+  let h = Evict_heap.create ~num_blocks:8 in
+  Alcotest.(check int) "empty block" (-1) (Evict_heap.top_block h);
+  Alcotest.(check int) "empty key" (-1) (Evict_heap.top_key h);
+  Evict_heap.add h ~block:4 ~key:12;
+  Evict_heap.add h ~block:2 ~key:40;
+  Evict_heap.add h ~block:7 ~key:30;
+  Evict_heap.add h ~block:2 ~key:3;
+  (* Either read settles on its own: the key first here, the block
+     first below. *)
+  Alcotest.(check int) "top key after re-key" 30 (Evict_heap.top_key h);
+  Alcotest.(check int) "top block" 7 (Evict_heap.top_block h);
+  Alcotest.(check int) "stale top popped once" 1 (Evict_heap.stale_pops h);
+  Alcotest.(check (option (pair int int))) "peek agrees" (Some (7, 30)) (Evict_heap.peek h);
+  Evict_heap.remove h ~block:7;
+  Evict_heap.remove h ~block:4;
+  Alcotest.(check int) "last live block" 2 (Evict_heap.top_block h);
+  Alcotest.(check int) "its key" 3 (Evict_heap.top_key h);
+  Evict_heap.remove h ~block:2;
+  Alcotest.(check int) "drained" (-1) (Evict_heap.top_block h);
+  Alcotest.(check (option (pair int int))) "peek drained" None (Evict_heap.peek h)
+
+(* ------------------------------------------------------------------ *)
+(* Driver.start_fetch preconditions are typed errors, not assertions:
+   they hold under -noassert and name the driver as the component. *)
+
+let expect_driver_error what f =
+  match f () with
+  | () -> Alcotest.failf "%s: start_fetch accepted an illegal fetch" what
+  | exception Simulate.Internal_error { component; _ } ->
+    Alcotest.(check string) (what ^ ": component") "driver" component
+
+let test_error_busy_disk () =
+  let inst = Instance.single_disk ~k:3 ~fetch_time:2 ~initial_cache:[] [| 0; 1; 2 |] in
+  let d = Driver.create inst in
+  Driver.start_fetch d ~block:0 ~evict:None;
+  expect_driver_error "busy disk" (fun () -> Driver.start_fetch d ~block:1 ~evict:None)
+
+let test_error_already_resident () =
+  let inst = Instance.single_disk ~k:2 ~fetch_time:2 ~initial_cache:[ 0 ] [| 0; 1 |] in
+  let d = Driver.create inst in
+  expect_driver_error "resident block" (fun () -> Driver.start_fetch d ~block:0 ~evict:None)
+
+let test_error_already_in_flight () =
+  let inst =
+    Instance.parallel ~k:3 ~fetch_time:2 ~num_disks:2 ~disk_of:[| 0; 1 |] ~initial_cache:[]
+      [| 0; 1 |]
+  in
+  let d = Driver.create inst in
+  Driver.start_fetch d ~disk:1 ~block:1 ~evict:None;
+  expect_driver_error "in-flight block" (fun () ->
+    Driver.start_fetch d ~disk:0 ~block:1 ~evict:None)
+
+let test_error_victim_not_resident () =
+  let inst = Instance.single_disk ~k:1 ~fetch_time:2 ~initial_cache:[ 0 ] [| 0; 1; 2 |] in
+  let d = Driver.create inst in
+  expect_driver_error "absent victim" (fun () -> Driver.start_fetch d ~block:1 ~evict:(Some 2))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation ceilings.  The decide layer keeps its state in flat int
+   arrays and answers queries as ints, so what Aggressive allocates is
+   essentially its output: one Fetch_op record, its list cell and the
+   eviction option per fetch.  Counts are deterministic for a fixed
+   input. *)
+
+let scale_zipf_instance n =
+  Workload.single_instance ~k:64 ~fetch_time:8
+    (Workload.zipf ~seed:13 ~alpha:0.9 ~n ~num_blocks:(n / 64))
+
+let minor_words_per_request n f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_aggressive_minor_words () =
+  Telemetry.set_enabled false;
+  let n = 100_000 in
+  let inst = scale_zipf_instance n in
+  let per_request = minor_words_per_request n (fun () -> Aggressive.schedule inst) in
+  if per_request > 16.0 then
+    Alcotest.failf "Aggressive.schedule allocated %.1f minor words/request (ceiling 16)"
+      per_request
+
+let test_next_ref_build_minor_words () =
+  let n = 100_000 in
+  let inst = scale_zipf_instance n in
+  let per_request = minor_words_per_request n (fun () -> Next_ref.of_instance inst) in
+  if per_request > 1.0 then
+    Alcotest.failf "Next_ref.build allocated %.2f minor words/request (ceiling 1)" per_request
+
 let () =
   Alcotest.run "driver-equiv"
     [ ("fast-vs-reference",
@@ -214,4 +309,15 @@ let () =
          Alcotest.test_case "tie-break towards smaller id" `Quick test_heap_tie_break;
          Alcotest.test_case "lazy invalidation" `Quick test_heap_lazy_invalidation;
          Alcotest.test_case "rejects negative keys" `Quick test_heap_rejects_negative_keys;
-         Alcotest.test_case "compaction bounds the heap" `Quick test_heap_compaction ]) ]
+         Alcotest.test_case "compaction bounds the heap" `Quick test_heap_compaction;
+         Alcotest.test_case "allocation-free top matches peek" `Quick
+           test_heap_top_matches_peek ]);
+      ("driver errors",
+       [ Alcotest.test_case "fetch on a busy disk" `Quick test_error_busy_disk;
+         Alcotest.test_case "fetch of a resident block" `Quick test_error_already_resident;
+         Alcotest.test_case "fetch of an in-flight block" `Quick test_error_already_in_flight;
+         Alcotest.test_case "eviction of an absent block" `Quick
+           test_error_victim_not_resident ]);
+      ("allocation",
+       [ Alcotest.test_case "aggressive decide ceiling" `Quick test_aggressive_minor_words;
+         Alcotest.test_case "next_ref build ceiling" `Quick test_next_ref_build_minor_words ]) ]

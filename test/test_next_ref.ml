@@ -2,7 +2,8 @@
    had only indirect coverage: Next_ref's binary-search queries
    (prev_before in particular, which Conservative/Delay/Online lean on)
    and the driver's monotone next-missing frontier, each checked against
-   a naive O(n) scan on random traces. *)
+   a naive O(n) scan on random traces, including traces that leave
+   blocks unrequested and the empty trace (empty CSR segments). *)
 
 let gen_trace =
   QCheck2.Gen.(
@@ -74,10 +75,66 @@ let prop_queries_consistent =
        done;
        !ok)
 
+(* Traces over a block space wider than what they request: blocks past
+   the largest requested id (and unrequested ids below it) have empty
+   CSR segments, and the empty trace has only empty segments. *)
+let gen_sparse_trace =
+  QCheck2.Gen.(
+    let* used = int_range 1 10 in
+    let* extra = int_range 0 5 in
+    let* n = int_range 0 60 in
+    let* seq = array_size (return n) (int_range 0 (used - 1)) in
+    return (used + extra, seq))
+
+let naive_count seq b = Array.fold_left (fun c x -> if x = b then c + 1 else c) 0 seq
+
+let prop_counts_and_extremes =
+  QCheck2.Test.make ~count:500 ~name:"count / first_request / last_request = naive scans"
+    gen_sparse_trace (fun (num_blocks, seq) ->
+      let nr = Next_ref.build seq ~num_blocks in
+      let n = Array.length seq in
+      let ok = ref (Next_ref.infinity_pos nr = n) in
+      for b = 0 to num_blocks - 1 do
+        if Next_ref.count nr b <> naive_count seq b then ok := false;
+        if Next_ref.first_request nr b <> naive_next_at_or_after seq b 0 then ok := false;
+        if Next_ref.last_request nr b <> naive_prev_before seq b n then ok := false
+      done;
+      !ok)
+
+let prop_sparse_queries =
+  QCheck2.Test.make ~count:300 ~name:"queries on unrequested blocks and empty traces"
+    gen_sparse_trace (fun (num_blocks, seq) ->
+      let nr = Next_ref.build seq ~num_blocks in
+      let n = Array.length seq in
+      let ok = ref true in
+      for b = 0 to num_blocks - 1 do
+        for pos = 0 to n + 1 do
+          if Next_ref.next_at_or_after nr b pos <> naive_next_at_or_after seq b pos then
+            ok := false;
+          if Next_ref.prev_before nr b pos <> naive_prev_before seq b pos then ok := false;
+          if Next_ref.is_requested_at_or_after nr b pos <> (naive_next_at_or_after seq b pos < n)
+          then ok := false
+        done
+      done;
+      !ok)
+
+let test_empty_trace () =
+  let nr = Next_ref.build [||] ~num_blocks:3 in
+  Alcotest.(check int) "infinity" 0 (Next_ref.infinity_pos nr);
+  for b = 0 to 2 do
+    Alcotest.(check int) "count" 0 (Next_ref.count nr b);
+    Alcotest.(check int) "first" 0 (Next_ref.first_request nr b);
+    Alcotest.(check int) "last" (-1) (Next_ref.last_request nr b);
+    Alcotest.(check int) "next" 0 (Next_ref.next_at_or_after nr b 0);
+    Alcotest.(check int) "prev" (-1) (Next_ref.prev_before nr b 5)
+  done;
+  let none = Next_ref.build [||] ~num_blocks:0 in
+  Alcotest.(check int) "no blocks at all" 0 (Next_ref.infinity_pos none)
+
 (* --- Monotone next-missing frontier ----------------------------------- *)
 
 (* Check the frontier in situ: wrap a real scheduler's decide so every
-   invocation first compares Driver.next_missing (fast engine: monotone
+   invocation first compares Driver.next_missing_pos (fast engine: monotone
    frontier with eviction clamping) against a naive scan over the
    cursor suffix.  Running inside a live Aggressive/Aggressive-D
    timeline exercises exactly the advance/clamp pattern the frontier
@@ -88,25 +145,23 @@ let checked_decide base d =
   let inst = Driver.instance d in
   let n = Instance.length inst in
   let naive =
-    let r = ref None in
+    let r = ref (-1) in
     (try
        for p = Driver.cursor d to n - 1 do
          let b = inst.Instance.seq.(p) in
          if (not (Driver.in_cache d b)) && not (Driver.block_in_flight d b) then begin
-           r := Some p;
+           r := p;
            raise Exit
          end
        done
      with Exit -> ());
     !r
   in
-  if Driver.next_missing d <> naive then
+  let frontier = Driver.next_missing_pos d in
+  if frontier <> naive then
     raise
       (Frontier_diverged
-         (Printf.sprintf "cursor=%d frontier=%s naive=%s"
-            (Driver.cursor d)
-            (match Driver.next_missing d with None -> "-" | Some j -> string_of_int j)
-            (match naive with None -> "-" | Some j -> string_of_int j)));
+         (Printf.sprintf "cursor=%d frontier=%d naive=%d" (Driver.cursor d) frontier naive));
   base d
 
 let gen_single_instance =
@@ -146,4 +201,6 @@ let () =
     [ ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_prev_before; prop_next_at_or_after; prop_queries_consistent;
-           prop_frontier_single; prop_frontier_parallel ]) ]
+           prop_frontier_single; prop_frontier_parallel; prop_counts_and_extremes;
+           prop_sparse_queries ]);
+      ("csr", [ Alcotest.test_case "empty trace" `Quick test_empty_trace ]) ]

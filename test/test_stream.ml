@@ -342,6 +342,46 @@ let test_win_ref_slots () =
   Win_ref.unpin w pinned;
   Alcotest.(check int) "unpinned, out of window: recycled" (-1) (Win_ref.slot_of w 7)
 
+(* The interner against a naive model: after every push, drop and
+   pin/unpin, each window position's id maps to its slot and back, ids
+   outside window and pins have no slot, and live slots count exactly
+   the distinct ids held.  The id pool collides in the low bits (powers
+   of two apart) and includes negative and extreme ints, so probe runs
+   wrap and deletions shift entries back across them. *)
+let prop_win_ref_interner =
+  let pool = [| 0; 1; 1 lsl 20; 2 lsl 20; 3 lsl 20; 1 lsl 40; max_int; min_int; -1; -7; 4096; 8192 |] in
+  QCheck2.Test.make ~count:300 ~name:"win_ref interner = naive id model"
+    QCheck2.Gen.(list_size (int_range 1 200) (pair (int_range 0 9) (int_range 0 (Array.length pool - 1))))
+    (fun ops ->
+       let w = Win_ref.create () in
+       let pinned = Hashtbl.create 4 in
+       let consistent () =
+         let held = Hashtbl.create 16 in
+         Hashtbl.iter (fun b _ -> Hashtbl.replace held b ()) pinned;
+         let ok = ref true in
+         for p = Win_ref.lo w to Win_ref.filled w - 1 do
+           let b = Win_ref.block_at w p and s = Win_ref.slot_at w p in
+           Hashtbl.replace held b ();
+           if Win_ref.id_of_slot w s <> b || Win_ref.slot_of w b <> s then ok := false
+         done;
+         Array.iter
+           (fun b -> if (not (Hashtbl.mem held b)) && Win_ref.slot_of w b <> -1 then ok := false)
+           pool;
+         !ok && Win_ref.live_slots w = Hashtbl.length held
+       in
+       List.for_all
+         (fun (op, i) ->
+            let b = pool.(i) in
+            (if op < 6 then Win_ref.push w b
+             else if op < 8 then Win_ref.drop_below w (Stdlib.min (Win_ref.filled w) (Win_ref.lo w + 1 + i))
+             else if Hashtbl.mem pinned b then begin
+               Win_ref.unpin w (Win_ref.slot_of w b);
+               Hashtbl.remove pinned b
+             end
+             else Hashtbl.replace pinned b (Win_ref.pin w b));
+            consistent ())
+         ops)
+
 (* The event-skipping clock only ever jumps stall runs. *)
 let test_clock_skip_counters () =
   Telemetry.set_enabled true;
@@ -375,7 +415,7 @@ let test_clock_skip_counters () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_full_window_byte_identical; prop_bounded_window_replays; prop_window_saturates;
-    prop_never_beats_opt; prop_relabel_invariant ]
+    prop_never_beats_opt; prop_relabel_invariant; prop_win_ref_interner ]
 
 let () =
   Alcotest.run "stream"

@@ -14,6 +14,37 @@ let test_zipf_skew () =
   Alcotest.(check bool) "block 0 much hotter than block 40" true (count 0 > 5 * (count 40 + 1));
   Alcotest.(check bool) "range" true (Array.for_all (fun x -> x >= 0 && x < 50) a)
 
+(* The inverse-CDF draw as first written: a binary search for the first
+   cdf.(i) >= x over the same seeded floats.  The guide-table sampler
+   must reproduce it draw for draw, or every recorded Zipf trace (and
+   the digests pinned on them) would change. *)
+let zipf_by_binary_search ~seed ~alpha ~n ~num_blocks =
+  let st = Random.State.make [| seed; 0x9e3779b9 |] in
+  let cdf = Array.make num_blocks 0.0 in
+  let total = ref 0.0 in
+  for i = 0 to num_blocks - 1 do
+    total := !total +. (1.0 /. Float.pow (float_of_int (i + 1)) alpha);
+    cdf.(i) <- !total
+  done;
+  Array.init n (fun _ ->
+    let x = Random.State.float st !total in
+    let lo = ref 0 and hi = ref (num_blocks - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) >= x then hi := mid else lo := mid + 1
+    done;
+    !lo)
+
+let prop_zipf_matches_binary_search =
+  QCheck2.Test.make ~count:300 ~name:"zipf guide table = binary search"
+    QCheck2.Gen.(
+      tup4 (int_range 0 10_000)
+        (oneofl [ 0.0; 0.5; 0.9; 1.2; 3.0; 40.0; 400.0 ])
+        (int_range 0 400) (int_range 1 3000))
+    (fun (seed, alpha, n, num_blocks) ->
+       Workload.zipf ~seed ~alpha ~n ~num_blocks
+       = zipf_by_binary_search ~seed ~alpha ~n ~num_blocks)
+
 let test_scan () =
   Alcotest.(check (list int)) "cyclic" [ 0; 1; 2; 0; 1 ]
     (Array.to_list (Workload.sequential_scan ~n:5 ~num_blocks:3))
@@ -103,4 +134,6 @@ let () =
           Alcotest.test_case "theorem2 structure" `Quick test_theorem2_structure;
           Alcotest.test_case "theorem2 round k" `Quick test_theorem2_round_k;
           Alcotest.test_case "families" `Quick test_families_all_produce ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_instances_well_formed ]) ]
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_instances_well_formed;
+          QCheck_alcotest.to_alcotest prop_zipf_matches_binary_search ] ) ]
