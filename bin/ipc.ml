@@ -806,7 +806,8 @@ let lp_cmd =
     Printf.printf "rounded schedule: stall=%d, peak occupancy=%d (k=%d, allowed extra=%d)\n"
       r.Rounding.stats.Simulate.stall_time r.Rounding.stats.Simulate.peak_occupancy k
       r.Rounding.extra_slots_allowed;
-    Printf.printf "laminar=%b candidates_tried=%d fallback=%b\n" r.Rounding.laminar
+    Printf.printf "laminar=%b crossing_rounds=%d stuck_pairs=%d candidates_tried=%d fallback=%b\n"
+      r.Rounding.laminar r.Rounding.crossing_rounds r.Rounding.stuck_pairs
       r.Rounding.candidates_tried r.Rounding.used_fallback;
     List.iter (fun op -> Format.printf "  %a@." Fetch_op.pp op) r.Rounding.schedule
   in

@@ -164,7 +164,10 @@ let theorem4_lp_sandwich =
             | None -> Skip "node budget exhausted"
             | Some opt_extra ->
             let rounded = r.Rounding.stats.Simulate.stall_time in
-            if rounded < opt_extra then
+            if r.Rounding.crossing_rounds >= Rounding.max_crossing_rounds then
+              failf "crossing elimination reached its %d-round cap (%d stuck rounds)"
+                Rounding.max_crossing_rounds r.Rounding.stuck_pairs
+            else if rounded < opt_extra then
               failf ~schedule:r.Rounding.schedule ~extra_slots:slots
                 "rounded stall %d beats the exhaustive optimum %d with the \
                  same %d extra slots"

@@ -4,7 +4,10 @@
    Pipeline:
    1. normalize the fractional solution:
       a. crossing elimination - nested intervals must share an endpoint,
-         which induces the linear order < used by the decomposition;
+         which induces the linear order < used by the decomposition; one
+         small exact LP per rewritten pair, a pair whose LP is infeasible
+         skipped until another rewrite changes the support (the round cap
+         is a safeguard, never reached on the fuzz corpus or perfbench);
       b. property (1): per disk, fetch the missing block whose next
          reference is earliest;
       c. property (2): per disk, evict the block whose next reference is
@@ -43,6 +46,8 @@ type norm = {
   aug : Sync_lp.augmented;
   mutable entries : entry list;  (* sorted by < *)
   mutable laminar : bool;
+  mutable crossing_rounds : int;  (* redistribution LPs solved by crossing elimination *)
+  mutable stuck_pairs : int;  (* of which infeasible ([Stuck]) *)
 }
 
 let tbl_add tbl key amt =
@@ -63,7 +68,11 @@ let of_fractional (f : Sync_lp.fractional) : norm =
             { iv; x = f.Sync_lp.sx.(i); fetch; evict })
          f.Sync_lp.supp)
   in
-  { aug = f.Sync_lp.faug; entries = List.sort (fun a b -> Iv.compare a.iv b.iv) entries; laminar = true }
+  { aug = f.Sync_lp.faug;
+    entries = List.sort (fun a b -> Iv.compare a.iv b.iv) entries;
+    laminar = true;
+    crossing_rounds = 0;
+    stuck_pairs = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Window compatibility. *)
@@ -107,7 +116,9 @@ let share_evict_window aug blk iv1 iv2 =
    per-interval balance constraints.  That redistribution is itself a small
    feasibility LP, which we solve with the exact solver; if it is
    infeasible the pair is skipped (costing only optimality - the executor
-   still validates whatever schedule comes out). *)
+   still validates whatever schedule comes out) until a successful
+   rewrite changes the support and may have made its LP feasible.  Every
+   round solves one LP; [crossing_rounds] and [stuck_pairs] count them. *)
 
 exception Stuck
 
@@ -271,12 +282,15 @@ let eliminate_pair (norm : norm) (inner : entry) (outer : entry) =
       !evict_vars;
     norm.entries <- List.filter (fun e -> Rat.sign e.x > 0) norm.entries
 
-let eliminate_crossings (norm : norm) =
-  let max_rounds = 10_000 in
-  let rec loop rounds skip =
-    if rounds > max_rounds then norm.laminar <- false
+let max_crossing_rounds = 10_000
+
+let eliminate_crossings ?(on_round = fun ~outer:_ ~inner:_ _ -> ()) (norm : norm) =
+  let rec loop skip =
+    if norm.crossing_rounds >= max_crossing_rounds then norm.laminar <- false
     else begin
-      (* Find a strictly-crossing pair not in the skip set. *)
+      (* Find a strictly-crossing pair not in the skip set.  The skip set
+         holds the entries themselves, compared by identity: a pair is
+         skipped until a rewrite changes the support. *)
       let pair =
         let rec find = function
           | [] -> None
@@ -285,7 +299,7 @@ let eliminate_crossings (norm : norm) =
                List.find_opt
                  (fun e' ->
                     e'.iv.Iv.lo > e.iv.Iv.lo && e'.iv.Iv.hi < e.iv.Iv.hi
-                    && not (List.memq (e, e') skip))
+                    && not (List.exists (fun (a, b) -> a == e && b == e') skip))
                  rest
              with
              | Some e' -> Some (e, e')
@@ -296,12 +310,18 @@ let eliminate_crossings (norm : norm) =
       match pair with
       | None -> if skip <> [] then norm.laminar <- false
       | Some (outer, inner) ->
+        norm.crossing_rounds <- norm.crossing_rounds + 1;
         (match eliminate_pair norm inner outer with
-         | () -> loop (rounds + 1) []
-         | exception Stuck -> loop (rounds + 1) ((outer, inner) :: skip))
+         | () ->
+           on_round ~outer ~inner true;
+           loop []
+         | exception Stuck ->
+           norm.stuck_pairs <- norm.stuck_pairs + 1;
+           on_round ~outer ~inner false;
+           loop ((outer, inner) :: skip))
     end
   in
-  loop 0 []
+  loop []
 
 (* ------------------------------------------------------------------ *)
 (* 1b/1c. Properties (1) and (2): earliest-fetch / furthest-evict swaps. *)
@@ -791,17 +811,21 @@ type result = {
   used_fallback : bool;
   candidates_tried : int;
   extra_slots_allowed : int;
+  crossing_rounds : int;
+  stuck_pairs : int;
 }
 
 (* Registry handles: the result record's ad-hoc reporting fields
-   ([laminar], [candidates_tried], [used_fallback]) also flow into the
-   global registry so sweeps can aggregate them without threading records
-   around. *)
+   ([laminar], [candidates_tried], [used_fallback], [crossing_rounds],
+   [stuck_pairs]) also flow into the global registry so sweeps can
+   aggregate them without threading records around. *)
 let m_solves = Telemetry.counter "rounding.solves"
 let m_non_laminar = Telemetry.counter "rounding.non_laminar"
 let m_fallbacks = Telemetry.counter "rounding.fallbacks"
 let m_candidates = Telemetry.histogram "rounding.candidates_tried"
 let m_stall_hist = Telemetry.histogram "rounding.stall_time"
+let m_crossing_rounds = Telemetry.counter "rounding.crossing_rounds"
+let m_stuck_pairs = Telemetry.counter "rounding.stuck_pairs"
 
 let report (r : result) : result =
   if Telemetry.enabled () then begin
@@ -809,7 +833,9 @@ let report (r : result) : result =
     if not r.laminar then Telemetry.incr m_non_laminar;
     if r.used_fallback then Telemetry.incr m_fallbacks;
     Telemetry.observe_int m_candidates r.candidates_tried;
-    Telemetry.observe_int m_stall_hist r.stats.Simulate.stall_time
+    Telemetry.observe_int m_stall_hist r.stats.Simulate.stall_time;
+    Telemetry.add m_crossing_rounds r.crossing_rounds;
+    Telemetry.add m_stuck_pairs r.stuck_pairs
   end;
   r
 
@@ -841,7 +867,9 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
         laminar = true;
         used_fallback = true;
         candidates_tried = 0;
-        extra_slots_allowed = extra }
+        extra_slots_allowed = extra;
+        crossing_rounds = 0;
+        stuck_pairs = 0 }
   | { Sync_lp.frac; lp_value } ->
   let norm = of_fractional frac in
   eliminate_crossings norm;
@@ -907,7 +935,9 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
       laminar = norm.laminar;
       used_fallback = true;
       candidates_tried = !tried;
-      extra_slots_allowed = extra }
+      extra_slots_allowed = extra;
+      crossing_rounds = norm.crossing_rounds;
+      stuck_pairs = norm.stuck_pairs }
   in
   match best_of candidates with
   | Some (schedule, stats, nominal) ->
@@ -927,7 +957,9 @@ let solve ?(solver = Revised.solve_lp) (inst : Instance.t) : result =
           laminar = norm.laminar;
           used_fallback = false;
           candidates_tried = !tried;
-          extra_slots_allowed = extra }
+          extra_slots_allowed = extra;
+          crossing_rounds = norm.crossing_rounds;
+          stuck_pairs = norm.stuck_pairs }
   | None ->
     (* Last resort: greedy baseline (always valid). *)
     report (greedy_report ())

@@ -24,6 +24,10 @@ type result = {
           stall strictly beat the best rounded candidate's *)
   candidates_tried : int;
   extra_slots_allowed : int;  (** 2(D-1) *)
+  crossing_rounds : int;
+      (** redistribution LPs crossing elimination solved (successes plus
+          [stuck_pairs]); stays below {!max_crossing_rounds} *)
+  stuck_pairs : int;  (** of those, the rounds whose pair could not be rewritten *)
 }
 
 val solve : ?solver:(Lp_problem.t -> Lp_problem.result) -> Instance.t -> result
@@ -56,10 +60,21 @@ type norm = {
   aug : Sync_lp.augmented;
   mutable entries : entry list;
   mutable laminar : bool;
+  mutable crossing_rounds : int;
+  mutable stuck_pairs : int;
 }
 
 val of_fractional : Sync_lp.fractional -> norm
-val eliminate_crossings : norm -> unit
+
+val max_crossing_rounds : int
+(** The safeguard cap on crossing-elimination rounds (one redistribution
+    LP each); reaching it clears [laminar]. *)
+
+val eliminate_crossings : ?on_round:(outer:entry -> inner:entry -> bool -> unit) -> norm -> unit
+(** [on_round ~outer ~inner ok] is called after each round with the pair
+    tried and whether it was rewritten ([false]: its redistribution LP
+    was infeasible and the pair is skipped until the next rewrite). *)
+
 val normalize_orders : norm -> unit
 
 type decomposition = {

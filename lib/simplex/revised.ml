@@ -14,7 +14,14 @@
    back to the pure exact revised solver on any doubt.  [solve_with_basis]
    additionally accepts and returns bases, so branch-and-bound
    ({!Ilp.solve}) can warm-start every child node from its parent's
-   optimal basis instead of re-solving from scratch. *)
+   optimal basis instead of re-solving from scratch.
+
+   The element loops of FTRAN, BTRAN and pricing are the field's vector
+   kernels ({!Lp_field.FIELD}: [eta_update], [eta_update_tracked],
+   [dot_sub]), called once per eta or column: over [Float_field] they
+   run on unboxed floats, which the functor body itself cannot do
+   without flambda, and they compute bit for bit what the scalar loops
+   did, so pivot paths are unchanged ([test_lp_golden]). *)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse standard form: minimize c.x s.t. A x = b, x >= 0, b >= 0.
@@ -195,10 +202,7 @@ module Make (F : Lp_field.FIELD) = struct
       if not (F.is_zero xr) then begin
         let piv = F.div xr e.epiv in
         x.(e.er) <- piv;
-        let ei = e.ei and ev = e.ev in
-        for q = 0 to Array.length ei - 1 do
-          x.(ei.(q)) <- F.sub x.(ei.(q)) (F.mul ev.(q) piv)
-        done
+        F.eta_update x e.ei e.ev piv
       end
     done
 
@@ -206,13 +210,7 @@ module Make (F : Lp_field.FIELD) = struct
   let btran ctx (y : F.t array) =
     for t = ctx.n_etas - 1 downto 0 do
       let e = ctx.etas.(t) in
-      let s = ref y.(e.er) in
-      let ei = e.ei and ev = e.ev in
-      for q = 0 to Array.length ei - 1 do
-        let yi = y.(ei.(q)) in
-        if not (F.is_zero yi) then s := F.sub !s (F.mul yi ev.(q))
-      done;
-      y.(e.er) <- F.div !s e.epiv
+      y.(e.er) <- F.div (F.dot_sub y.(e.er) y e.ei e.ev) e.epiv
     done
 
   let col_nnz ctx j = if j < ctx.ncols then Array.length (fst ctx.cols.(j)) else 1
@@ -262,12 +260,7 @@ module Make (F : Lp_field.FIELD) = struct
       if not (F.is_zero xr) then begin
         let piv = F.div xr e.epiv in
         x.(e.er) <- piv;
-        let ei = e.ei and ev = e.ev in
-        for q = 0 to Array.length ei - 1 do
-          let i = ei.(q) in
-          touch ctx i;
-          x.(i) <- F.sub x.(i) (F.mul ev.(q) piv)
-        done
+        ctx.n_nz <- F.eta_update_tracked x e.ei e.ev piv ~mark:ctx.mark ~nzl:ctx.nzl ctx.n_nz
       end
     done
 
@@ -431,12 +424,7 @@ module Make (F : Lp_field.FIELD) = struct
     in
     let reduced j =
       let ri, rv = ctx.cols.(j) in
-      let s = ref cost.(j) in
-      for q = 0 to Array.length ri - 1 do
-        let yi = y.(ri.(q)) in
-        if not (F.is_zero yi) then s := F.sub !s (F.mul yi rv.(q))
-      done;
-      !s
+      F.dot_sub cost.(j) y ri rv
     in
     (* Dantzig with partial pricing: scan a wrap-around chunk of columns
        from where the last scan stopped, returning the most negative
@@ -615,9 +603,7 @@ module Make (F : Lp_field.FIELD) = struct
             cost.(j) <- F.one
           done;
           (match optimize () with
-           | `Unbounded ->
-             (* Phase 1 is bounded below by 0; float noise only. *)
-             raise Iteration_limit
+           | `Unbounded -> raise Simplex.Phase1_unbounded
            | `Optimal -> ());
           if gt0 (infeasibility ()) then raise Infeasible_lp
         end;
@@ -633,13 +619,11 @@ module Make (F : Lp_field.FIELD) = struct
               try
                 for j = 0 to ncols - 1 do
                   if not ctx.in_basis.(j) then begin
+                    (* Row r of B^-1 A_j, negated: 0 - a - b - ... is
+                       -(0 + a + b + ...) bit for bit (rounding is
+                       symmetric), and only its zero test is used. *)
                     let ri, rv = ctx.cols.(j) in
-                    let s = ref F.zero in
-                    for q = 0 to Array.length ri - 1 do
-                      let yi = y.(ri.(q)) in
-                      if not (F.is_zero yi) then s := F.add !s (F.mul yi rv.(q))
-                    done;
-                    if not (F.is_zero !s) then raise (Found j)
+                    if not (F.is_zero (F.dot_sub F.zero y ri rv)) then raise (Found j)
                   end
                 done;
                 -1
@@ -723,12 +707,7 @@ module Make (F : Lp_field.FIELD) = struct
                for j = 0 to std.s_ncols - 1 do
                  if not ctx.in_basis.(j) then begin
                    let ri, rv = ctx.cols.(j) in
-                   let s = ref (F.of_rat std.s_cost.(j)) in
-                   for q = 0 to Array.length ri - 1 do
-                     let yi = y.(ri.(q)) in
-                     if not (F.is_zero yi) then s := F.sub !s (F.mul yi rv.(q))
-                   done;
-                   if lt0 !s then begin
+                   if lt0 (F.dot_sub (F.of_rat std.s_cost.(j)) y ri rv) then begin
                      dual_ok := false;
                      raise Exit
                    end
@@ -823,15 +802,16 @@ let solve_with_basis ?warm (p : Lp_problem.t) : solution =
     st.Simplex.fallbacks <- st.Simplex.fallbacks + 1;
     fell_back := true;
     match Rat_rev.solve_std ?warm:warm' std with
-    | exception Rat_rev.Iteration_limit ->
-      (* Never observed (Bland guarantees termination); the dense exact
-         reference solver is the last resort. *)
+    | exception (Rat_rev.Iteration_limit | Simplex.Phase1_unbounded) ->
+      (* Never observed (Bland guarantees termination, and exact phase 1
+         is bounded); the dense exact reference solver is the last
+         resort. *)
       (Simplex.solve_pure_exact p, None)
     | o -> result_of_rat_outcome o
   in
   let result, basis =
     match Float_rev.solve_std ?warm std with
-    | exception Float_rev.Iteration_limit -> fallback None
+    | exception (Float_rev.Iteration_limit | Simplex.Phase1_unbounded) -> fallback None
     | Float_rev.Solved { basis; _ } ->
       (match certify p std basis with
        | Some r ->

@@ -54,7 +54,8 @@ module Make (F : Lp_field.FIELD) : sig
       [stall_threshold] overrides the number of consecutive degenerate
       pivots tolerated before switching to Bland's rule (tests pin the
       switch path with [0]).
-      @raise Iteration_limit if the safeguard cap is exceeded. *)
+      @raise Iteration_limit if the safeguard cap is exceeded.
+      @raise Simplex.Phase1_unbounded if phase 1 reports an unbounded ray. *)
 
   val solve : ?warm:int array -> ?stall_threshold:int -> Lp_problem.t -> outcome
 

@@ -128,6 +128,8 @@ let stats_since (s0 : stats) =
 
 (* ------------------------------------------------------------------ *)
 
+exception Phase1_unbounded
+
 module Make (F : Lp_field.FIELD) = struct
   type outcome =
     | Solved of {
@@ -303,7 +305,11 @@ module Make (F : Lp_field.FIELD) = struct
         done;
         let cost = reduced_costs tableau basis c1 ncols_total in
         match optimize tableau cost basis banned ncols_total with
-        | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
+        | `Unbounded ->
+          (* The phase-1 objective is bounded below by 0: over exact
+             rationals this is unreachable, over floats it is tolerance
+             noise that the hybrid driver answers with the exact solver. *)
+          raise Phase1_unbounded
         | `Optimal ->
           (* Objective value = -cost.(rhs). *)
           let obj = F.neg cost.(rhs_ix) in
@@ -439,7 +445,8 @@ let m_bland = Telemetry.counter "simplex.bland_switches"
 
 (* Hybrid exact solver: float simplex for speed, rational certification for
    exactness, full exact simplex as a fallback. *)
-let solve_exact (p : Lp_problem.t) : Lp_problem.result =
+let solve_exact_with ~(float_solve : Lp_problem.t -> Float_solver.outcome) (p : Lp_problem.t) :
+    Lp_problem.result =
   let pivots0 = stats.pivots in
   let degenerate0 = stats.degenerate_pivots in
   let bland0 = stats.bland_switches in
@@ -447,10 +454,11 @@ let solve_exact (p : Lp_problem.t) : Lp_problem.result =
   let certified = ref false in
   let fell_back = ref false in
   let result =
-    match Float_solver.solve p with
-    | exception Float_solver.Iteration_limit ->
-      (* Float pivoting failed to terminate (extreme degeneracy): the exact
-         solver's Bland phases are guaranteed to. *)
+    match float_solve p with
+    | exception (Float_solver.Iteration_limit | Phase1_unbounded) ->
+      (* Float pivoting failed to terminate (extreme degeneracy) or let
+         float noise unbound phase 1: the exact solver's Bland phases are
+         guaranteed to terminate, and its phase 1 is bounded. *)
       stats.fallbacks <- stats.fallbacks + 1;
       fell_back := true;
       solve_pure_exact p
@@ -481,3 +489,6 @@ let solve_exact (p : Lp_problem.t) : Lp_problem.result =
     Telemetry.add m_bland (stats.bland_switches - bland0)
   end;
   result
+
+let solve_exact (p : Lp_problem.t) : Lp_problem.result =
+  solve_exact_with ~float_solve:Float_solver.solve p

@@ -23,6 +23,14 @@ type standard = {
 
 val standardize : Lp_problem.t -> standard
 
+exception Phase1_unbounded
+(** Phase 1 found an entering column with no leaving row.  Its objective
+    (the artificial mass) is bounded below by 0, so over exact rationals
+    this cannot happen; over floats it is tolerance noise.  Raised by
+    [Make(F).solve] and {!Revised.Make}'s [solve_std]; the hybrid drivers
+    ({!solve_exact}, {!Revised.solve_with_basis}) answer it with their
+    exact solver. *)
+
 module Make (F : Lp_field.FIELD) : sig
   type outcome =
     | Solved of {
@@ -38,7 +46,8 @@ module Make (F : Lp_field.FIELD) : sig
 
   val solve : Lp_problem.t -> outcome
   (** @raise Iteration_limit if the safeguard cap is exceeded (never
-      observed; would indicate a cycling bug). *)
+      observed; would indicate a cycling bug).
+      @raise Phase1_unbounded if phase 1 reports an unbounded ray. *)
 end
 
 module Float_solver : module type of Make (Lp_field.Float_field)
@@ -89,3 +98,8 @@ val stats_since : stats -> stats
 
 val solve_exact : Lp_problem.t -> Lp_problem.result
 (** The hybrid driver: float solve, exact certification, exact fallback. *)
+
+val solve_exact_with :
+  float_solve:(Lp_problem.t -> Float_solver.outcome) -> Lp_problem.t -> Lp_problem.result
+(** {!solve_exact} over a given float pass ([solve_exact] passes
+    [Float_solver.solve]); tests inject float-pass failures through it. *)

@@ -103,6 +103,41 @@ let test_emit_greedy_matches_opt () =
   | Error e -> Alcotest.failf "emit_greedy invalid: %s" e.Simulate.reason
   | Ok s -> Alcotest.(check int) "matches OPT" (Opt_single.stall_time inst) s.Simulate.stall_time
 
+(* Crossing elimination skips a pair whose redistribution LP is
+   infeasible until a successful rewrite changes the support.  Cases 279
+   ("scan n=8 k=1 F=2 D=2 warm") and 60 ("streams(2) n=10 k=1 F=4 D=2
+   warm") of the fuzz corpus at seed 42 have such a pair first in line;
+   a skip test that never matches retries it on every round until the
+   round cap. *)
+let test_stuck_pair_skipped () =
+  List.iter
+    (fun index ->
+       let inst = (Ck_gen.generate ~seed:42 ~index).Ck_gen.inst in
+       Alcotest.(check int) "two disks" 2 inst.Instance.num_disks;
+       let norm = Rounding.of_fractional (tiny_lp inst) in
+       (* Pairs that raised Stuck since the last successful rewrite. *)
+       let stuck = ref [] and repeats = ref 0 in
+       let on_round ~outer ~inner ok =
+         if ok then stuck := []
+         else begin
+           if List.exists (fun (o, i) -> o == outer && i == inner) !stuck then incr repeats;
+           stuck := (outer, inner) :: !stuck
+         end
+       in
+       Rounding.eliminate_crossings ~on_round norm;
+       Alcotest.(check bool)
+         (Printf.sprintf "case %d: round cap not reached (%d rounds)" index
+            norm.Rounding.crossing_rounds)
+         true
+         (norm.Rounding.crossing_rounds < Rounding.max_crossing_rounds);
+       Alcotest.(check int) (Printf.sprintf "case %d: no pair stuck twice in a row" index) 0 !repeats;
+       let r = Rounding.solve inst in
+       Alcotest.(check int) "result reports the rounds" norm.Rounding.crossing_rounds
+         r.Rounding.crossing_rounds;
+       Alcotest.(check int) "result reports the stuck pairs" norm.Rounding.stuck_pairs
+         r.Rounding.stuck_pairs)
+    [ 279; 60 ]
+
 (* Property: after crossing elimination on random instances, either the
    laminar flag is false (gave up, allowed) or no strictly nested pair
    remains; and per-entry eviction mass always balances real fetch mass. *)
@@ -174,7 +209,8 @@ let () =
           Alcotest.test_case "dist monotone" `Quick test_decomposition_dist_monotone;
           Alcotest.test_case "candidate offsets" `Quick test_candidates_cover_zero;
           Alcotest.test_case "integral selection complete" `Quick test_integral_selection_complete;
-          Alcotest.test_case "emit_greedy matches OPT" `Quick test_emit_greedy_matches_opt ] );
+          Alcotest.test_case "emit_greedy matches OPT" `Quick test_emit_greedy_matches_opt;
+          Alcotest.test_case "stuck pair skipped until a rewrite" `Quick test_stuck_pair_skipped ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_elimination_sound; prop_entry_balance; prop_c2_preserved ] ) ]

@@ -201,6 +201,33 @@ let test_revised_bland_pin () =
   Alcotest.(check bool) "bland switch recorded" true (d.Simplex.bland_switches > 0);
   Alcotest.(check bool) "degenerate pivot recorded" true (d.Simplex.degenerate_pivots > 0)
 
+(* Phase 1 minimises the artificial mass, which is bounded below, so an
+   unbounded phase 1 is float noise.  A float field whose comparisons call
+   every nonzero value negative produces it on demand: every column with a
+   nonzero reduced cost enters, and no row ever leaves.  The solver must
+   raise the typed [Phase1_unbounded], and the hybrid driver must answer
+   it with the exact solver. *)
+module Skewed_field = struct
+  include Lp_field.Float_field
+
+  let compare a b = if a = b then 0 else -1
+end
+
+let test_phase1_unbounded_typed () =
+  (* min x + y s.t. x + y >= 2: the >= row needs an artificial. *)
+  let p = make_problem 2 [ (0, 1); (1, 1) ] [ ([ (0, 1); (1, 1) ], P.Ge, 2) ] in
+  let module S = Simplex.Make (Skewed_field) in
+  Alcotest.check_raises "skewed float phase 1" Simplex.Phase1_unbounded (fun () ->
+      ignore (S.solve p));
+  let s0 = Simplex.stats_snapshot () in
+  let result =
+    Simplex.solve_exact_with ~float_solve:(fun _ -> raise Simplex.Phase1_unbounded) p
+  in
+  let d = Simplex.stats_since s0 in
+  Alcotest.check rt "exact fallback optimum" (R.of_int 2) (fst (get_optimal result));
+  Alcotest.(check int) "counted as a fallback" 1 d.Simplex.fallbacks;
+  Alcotest.(check int) "nothing certified" 0 d.Simplex.certified
+
 let test_stats_snapshot_reset () =
   let p =
     make_problem 2 [ (0, 1); (1, 1) ]
@@ -375,5 +402,6 @@ let () =
           Alcotest.test_case "duplicate coeffs" `Quick test_duplicate_coeffs_merged;
           Alcotest.test_case "check_feasible" `Quick test_check_feasible;
           Alcotest.test_case "revised bland pin" `Quick test_revised_bland_pin;
-          Alcotest.test_case "stats snapshot/reset" `Quick test_stats_snapshot_reset ] );
+          Alcotest.test_case "stats snapshot/reset" `Quick test_stats_snapshot_reset;
+          Alcotest.test_case "phase-1 unbounded is typed" `Quick test_phase1_unbounded_typed ] );
       ("properties", props) ]
