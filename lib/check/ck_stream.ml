@@ -99,12 +99,7 @@ let replay =
           let f = inst.Instance.fetch_time in
           let rec per_policy = function
             | [] -> Pass
-            | pname :: rest ->
-              let build =
-                match Prefetcher.find pname with
-                | Some b -> b
-                | None -> assert false (* names () only lists registered policies *)
-              in
+            | (pname, build) :: rest ->
               let rec per_window = function
                 | [] -> per_policy rest
                 | w :: ws -> (
@@ -125,6 +120,6 @@ let replay =
               in
               per_window (windows inst)
           in
-          per_policy (Prefetcher.names ())))
+          per_policy (Prefetcher.builders ())))
 
 let all = [ full_window; replay ]

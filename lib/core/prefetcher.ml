@@ -144,41 +144,57 @@ let obl () : Stream.policy =
 (* First-order Markov predictor (Mithril-style frequency mining, one
    level deep): count observed successors per block, prefetch the most
    frequent successor of the block just referenced.  Ties break towards
-   the smallest block id for determinism. *)
+   the smallest block id for determinism.
+
+   All state is flat ints.  Blocks are interned to dense rows; the
+   (prev, succ) counts sit in one table keyed by the packed row pair;
+   each row keeps its argmax.  Counts only rise, so when succ s reaches
+   count n the argmax changes iff s beats it (n > best_n, or n = best_n
+   and s < best): O(1) per request and the answer a full rescan would
+   give. *)
+let max_rows = 1 lsl 31 (* two rows pack into one non-negative int *)
+
 let markov () : Stream.policy =
-  let succ : (int, (int, int ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let prev = ref (-1) in
+  let rows = Int_table.create () in (* block id -> row *)
+  let pairs = Int_table.create () in (* (prev row lsl 31) lor row -> count *)
+  let best = ref (Array.make 64 (-1)) in (* row -> most frequent successor id, -1: none *)
+  let best_n = ref (Array.make 64 0) in (* row -> that successor's count *)
+  let nrows = ref 0 in
+  let prev = ref (-1) in (* row of the block referenced last *)
   let want = ref (-1) in
-  let best_successor b =
-    match Hashtbl.find_opt succ b with
-    | None -> -1
-    | Some tbl ->
-      let best = ref (-1) and best_n = ref 0 in
-      Hashtbl.iter
-        (fun s n ->
-           if !n > !best_n || (!n = !best_n && (!best < 0 || s < !best)) then begin
-             best_n := !n;
-             best := s
-           end)
-        tbl;
-      !best
+  let row_of b =
+    let c = Int_table.cell rows b in
+    let r = Int_table.value_at rows c in
+    if r >= 0 then r
+    else begin
+      let r = !nrows in
+      if r = max_rows then invalid_arg "Prefetcher.markov: more than 2^31 distinct blocks";
+      if r = Array.length !best then begin
+        best := Array.append !best (Array.make r (-1));
+        best_n := Array.append !best_n (Array.make r 0)
+      end;
+      Int_table.add_at rows c b r;
+      nrows := r + 1;
+      r
+    end
   in
   let on_find _t ~block ~hit:_ =
-    if !prev >= 0 then begin
-      let tbl =
-        match Hashtbl.find_opt succ !prev with
-        | Some tbl -> tbl
-        | None ->
-          let tbl = Hashtbl.create 4 in
-          Hashtbl.add succ !prev tbl;
-          tbl
-      in
-      (match Hashtbl.find_opt tbl block with
-       | Some n -> incr n
-       | None -> Hashtbl.add tbl block (ref 1))
+    let r = row_of block in
+    let p = !prev in
+    if p >= 0 then begin
+      let key = (p lsl 31) lor r in
+      let c = Int_table.cell pairs key in
+      let seen = Int_table.value_at pairs c in
+      let n = if seen < 0 then 1 else seen + 1 in
+      if seen < 0 then Int_table.add_at pairs c key n else Int_table.set_at pairs c n;
+      let bn = !best_n.(p) in
+      if n > bn || (n = bn && block < !best.(p)) then begin
+        !best.(p) <- block;
+        !best_n.(p) <- n
+      end
     end;
-    prev := block;
-    want := best_successor block
+    prev := r;
+    want := !best.(r)
   in
   let prefetch t = try_speculative t ~want:!want in
   { (Stream.passive_policy "markov") with prefetch; on_find }
@@ -202,7 +218,12 @@ let register ~name ~doc build =
 
 let find name = Option.map (fun e -> e.build) (Hashtbl.find_opt registry name)
 
-let names () = List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) registry [])
+let builders () =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun n e acc -> (n, e.build) :: acc) registry [])
+
+let names () = List.map fst (builders ())
 
 let all () =
   List.sort

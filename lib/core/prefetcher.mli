@@ -31,7 +31,19 @@ val obl : unit -> Stream.policy
 val markov : unit -> Stream.policy
 (** First-order successor predictor (Mithril-style frequency table):
     prefetch the most frequently observed successor of the block just
-    referenced; ties break towards the smallest block id. *)
+    referenced; ties break towards the smallest block id.  O(1) work
+    per request (each block keeps its argmax, updated as counts rise)
+    and memory O(distinct (block, successor) pairs), in flat int
+    tables that allocate nothing per request.
+    @raise Invalid_argument past 2{^31} distinct blocks. *)
+
+val try_speculative : Stream.t -> want:int -> unit
+(** The guarded speculative fetch behind {!obl} and {!markov}: fetch
+    [want] only when the disk is idle, [want] is not resident and no
+    larger than the largest block id seen, the cursor's own block is resident or in flight,
+    and either a cache slot is free or some cached block has no
+    reference left in the window (which is then evicted).  [want < 0]
+    does nothing. *)
 
 val demand : unit -> Stream.policy
 (** No prefetching at all: the engine's demand path with
@@ -46,6 +58,9 @@ val register : name:string -> doc:string -> (fetch_time:int -> Stream.policy) ->
     @raise Invalid_argument on a duplicate name. *)
 
 val find : string -> (fetch_time:int -> Stream.policy) option
+
+val builders : unit -> (string * (fetch_time:int -> Stream.policy)) list
+(** [(name, builder)] pairs, sorted by name. *)
 
 val names : unit -> string list
 (** Registered names, sorted.  Built-ins: [aggressive], [delay],

@@ -469,7 +469,9 @@ let flush_stats (t : t) =
     c "stream.demand_fetches" t.demand_fetches;
     c "stream.stall_units" t.stall;
     c "stream.clock_skips" t.clock_skips;
-    c "stream.clock_units_skipped" t.clock_units_skipped
+    c "stream.clock_units_skipped" t.clock_units_skipped;
+    c "stream.heap_pushes" (Evict_heap.pushes t.heap);
+    c "stream.heap_stale_pops" (Evict_heap.stale_pops t.heap)
   end
 
 let run ?(record_schedule = false) ?(initial_cache = []) ~k ~fetch_time ~window src

@@ -64,75 +64,11 @@ let dq_lower_bound q x =
   done;
   !lo
 
-(* Raw id -> slot: open addressing with linear probing over two int
-   arrays (a cell with slot -1 is empty), deleting by backward shift so
-   probe runs never hold tombstones.  Ids are arbitrary ints (LBAs,
-   hashes): a multiplicative mix spreads them over the low bits the
-   table indexes by.  Unlike [Hashtbl] nothing is allocated per insert,
-   and a lookup is a few int compares. *)
-type ids = { mutable keys : int array; mutable vals : int array; mutable count : int }
-
-let ids_create () = { keys = Array.make 128 0; vals = Array.make 128 (-1); count = 0 }
-
-let ids_home tbl k =
-  let h = k * 0x1e3779b97f4a7c15 in
-  (h lxor (h lsr 29)) land (Array.length tbl.vals - 1)
-
-(* The cell holding [k], or the empty cell that ends its probe run. *)
-let ids_cell tbl k =
-  let mask = Array.length tbl.vals - 1 in
-  let i = ref (ids_home tbl k) in
-  while tbl.vals.(!i) >= 0 && tbl.keys.(!i) <> k do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let ids_find tbl k = tbl.vals.(ids_cell tbl k)
-
-(* [k] must be absent.  The table stays at most half full. *)
-let rec ids_add tbl k v =
-  if 2 * (tbl.count + 1) > Array.length tbl.vals then begin
-    let keys = tbl.keys and vals = tbl.vals in
-    tbl.keys <- Array.make (2 * Array.length keys) 0;
-    tbl.vals <- Array.make (2 * Array.length vals) (-1);
-    tbl.count <- 0;
-    Array.iteri (fun i s -> if s >= 0 then ids_add tbl keys.(i) s) vals
-  end;
-  let i = ids_cell tbl k in
-  tbl.keys.(i) <- k;
-  tbl.vals.(i) <- v;
-  tbl.count <- tbl.count + 1
-
-let ids_remove tbl k =
-  let mask = Array.length tbl.vals - 1 in
-  let hole = ref (ids_cell tbl k) in
-  if tbl.vals.(!hole) >= 0 then begin
-    tbl.count <- tbl.count - 1;
-    (* Walk the rest of the probe run; an entry moves into the hole
-       unless its home cell lies cyclically in (hole, j], where its own
-       probe would never reach the hole. *)
-    let j = ref !hole and run = ref true in
-    while !run do
-      j := (!j + 1) land mask;
-      if tbl.vals.(!j) < 0 then run := false
-      else begin
-        let h = ids_home tbl tbl.keys.(!j) in
-        let stays = if !hole <= !j then h > !hole && h <= !j else h > !hole || h <= !j in
-        if not stays then begin
-          tbl.keys.(!hole) <- tbl.keys.(!j);
-          tbl.vals.(!hole) <- tbl.vals.(!j);
-          hole := !j
-        end
-      end
-    done;
-    tbl.vals.(!hole) <- -1
-  end
-
 type t = {
   mutable buf : int array;  (* circular by absolute position: the slot requested there *)
   mutable lo : int;  (* lowest retained absolute position *)
   mutable hi : int;  (* next absolute position to be pushed *)
-  slot_of_id : ids;  (* raw id -> slot, live slots only *)
+  slot_of_id : Int_table.t;  (* raw id -> slot, live slots only *)
   mutable id : int array;  (* slot -> raw id *)
   mutable pos : dq array;  (* slot -> ascending in-window positions *)
   mutable pins : int array;  (* slot -> pin count *)
@@ -145,7 +81,7 @@ let create () =
   { buf = Array.make 64 0;
     lo = 0;
     hi = 0;
-    slot_of_id = ids_create ();
+    slot_of_id = Int_table.create ();
     id = Array.make 64 0;
     pos = Array.init 64 (fun _ -> dq_create ());
     pins = Array.make 64 0;
@@ -181,33 +117,26 @@ let fresh t b =
   t.id.(s) <- b;
   s
 
-(* One probe serves both the lookup and, for a new id, the insert: the
-   empty cell that ends [b]'s probe run is where [ids_add] would put it
-   (unless the table must grow first). *)
+(* One probe serves both the lookup and, for a new id, the insert. *)
 let intern t b =
   let tbl = t.slot_of_id in
-  let i = ids_cell tbl b in
-  let s = tbl.vals.(i) in
+  let c = Int_table.cell tbl b in
+  let s = Int_table.value_at tbl c in
   if s >= 0 then s
   else begin
     let s = fresh t b in
-    if 2 * (tbl.count + 1) > Array.length tbl.vals then ids_add tbl b s
-    else begin
-      tbl.keys.(i) <- b;
-      tbl.vals.(i) <- s;
-      tbl.count <- tbl.count + 1
-    end;
+    Int_table.add_at tbl c b s;
     s
   end
 
 let release_if_dead t s =
   if t.pos.(s).len = 0 && t.pins.(s) = 0 then begin
-    ids_remove t.slot_of_id t.id.(s);
+    Int_table.remove t.slot_of_id t.id.(s);
     t.free.(t.nfree) <- s;
     t.nfree <- t.nfree + 1
   end
 
-let slot_of t b = ids_find t.slot_of_id b
+let slot_of t b = Int_table.find t.slot_of_id b
 let id_of_slot t s = t.id.(s)
 
 let pin t b =

@@ -18,8 +18,9 @@
    hand-mangled trace fails loudly instead of silently producing a
    different instance.
 
-   Parsing is incremental: the reader holds one line at a time, so a
-   multi-gigabyte trace streams through in constant memory.  The only
+   Parsing is incremental: the reader holds one line at a time and
+   parses its tokens in place, so a multi-gigabyte trace streams through
+   in constant memory and a request costs no copy.  The only
    ordering rule this imposes is that header keys must precede the first
    [seq] line (which every writer, including [save_instance], already
    satisfies). *)
@@ -77,10 +78,12 @@ type reader = {
   mutable lineno : int;
   mutable hdr : header;
   mutable saw_seq : bool;
-  (* Scan state for the current [seq] payload: [cur.[pos ..]] holds the
-     not-yet-consumed tail of the line (comment already stripped). *)
+  (* Scan state for the current line: [cur.[pos .. stop)] holds the
+     not-yet-consumed tail of its payload (key, comment and trailing
+     blanks excluded).  Tokens are parsed in place, never copied. *)
   mutable cur : string;
   mutable pos : int;
+  mutable stop : int;
   mutable eof : bool;
   mutable closed : bool;
 }
@@ -112,45 +115,67 @@ let one r rest =
   | [] -> parse_error r "missing value"
   | _ :: _ -> parse_error r "trailing garbage after value: %s" (String.trim rest)
 
-(* Reads the next meaningful line; returns [Some (key, rest)] or [None] at
-   EOF.  Comments and blank lines are skipped; CRLF is rejected. *)
+(* The blanks [String.trim] strips. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\012' || c = '\r'
+
+(* Reads the next meaningful line into [r.cur] and returns its key, with
+   [r.pos, r.stop) set to its payload; [None] at EOF.  Comments and
+   blank lines are skipped; CRLF is rejected.  Only the key is copied. *)
 let rec next_keyed_line r =
   match input_line r.ic with
   | exception End_of_file -> None
   | raw ->
     r.lineno <- r.lineno + 1;
     if String.contains raw '\r' then parse_error r "CRLF line ending (expected LF-only)";
-    let line = String.trim raw in
-    if line = "" || line.[0] = '#' then next_keyed_line r
+    let lo = ref 0 and hi = ref (String.length raw) in
+    while !lo < !hi && is_blank raw.[!lo] do
+      incr lo
+    done;
+    while !hi > !lo && is_blank raw.[!hi - 1] do
+      decr hi
+    done;
+    if !lo = !hi || raw.[!lo] = '#' then next_keyed_line r
     else begin
-      let line =
-        match String.index_opt line '#' with
-        | Some i -> String.trim (String.sub line 0 i)
-        | None -> line
-      in
-      match String.index_opt line ' ' with
-      | None ->
+      (match String.index_from_opt raw !lo '#' with
+       | Some i when i < !hi ->
+         hi := i;
+         while is_blank raw.[!hi - 1] do
+           decr hi
+         done
+       | _ -> ());
+      let lo = !lo and hi = !hi in
+      r.cur <- raw;
+      match String.index_from_opt raw lo ' ' with
+      | Some i when i < hi ->
+        r.pos <- i + 1;
+        r.stop <- hi;
+        Some (String.sub raw lo (i - lo))
+      | _ ->
         (* A bare [seq] line (empty payload) is legal, and so is a bare
            [init] line: an empty initial cache, which [save_instance]
            writes for a cold start (a missing [init] means warm).
            Anything else is malformed. *)
-        if line = "seq" || line = "init" then Some (line, "")
+        let line = String.sub raw lo (hi - lo) in
+        if line = "seq" || line = "init" then begin
+          r.pos <- hi;
+          r.stop <- hi;
+          Some line
+        end
         else parse_error r "malformed line: %s" line
-      | Some i ->
-        Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
     end
+
+(* The current line's payload, as a string (header lines only). *)
+let payload r = String.sub r.cur r.pos (r.stop - r.pos)
 
 (* Advances [r] to the next [seq] payload.  Called with the current
    payload exhausted. *)
 let refill r =
   match next_keyed_line r with
   | None -> r.eof <- true
-  | Some ("seq", rest) ->
-    r.cur <- rest;
-    r.pos <- 0
-  | Some (("k" | "f" | "disks" | "layout" | "init") as key, _) ->
+  | Some "seq" -> ()
+  | Some (("k" | "f" | "disks" | "layout" | "init") as key) ->
     parse_error r "key %s after first seq line (header must precede seq)" key
-  | Some (key, _) -> parse_error r "unknown key: %s" key
+  | Some key -> parse_error r "unknown key: %s" key
 
 let open_reader (path : string) : reader =
   let ic = open_in path in
@@ -163,6 +188,7 @@ let open_reader (path : string) : reader =
       saw_seq = false;
       cur = "";
       pos = 0;
+      stop = 0;
       eof = false;
       closed = false }
   in
@@ -177,11 +203,9 @@ let open_reader (path : string) : reader =
      let rec header_loop () =
        match next_keyed_line r with
        | None -> ()
-       | Some ("seq", rest) ->
-         r.saw_seq <- true;
-         r.cur <- rest;
-         r.pos <- 0
-       | Some (key, rest) ->
+       | Some "seq" -> r.saw_seq <- true
+       | Some key ->
+         let rest = payload r in
          (match key with
           | "k" -> set "k" k (one r rest)
           | "f" -> set "f" f (one r rest)
@@ -216,25 +240,50 @@ let close_reader (r : reader) : unit =
     close_in_noerr r.ic
   end
 
+(* The token [s.[start .. stop)], which is non-empty and blank-free.
+   The common case (an optional '-' then decimal digits, in range) is
+   parsed in place: digits accumulate negatively, so [min_int] parses,
+   and [acc < (min_int + d) / 10] is exactly "[10 * acc - d] would
+   overflow".  Anything else - a misplaced or bare '-', another
+   character, overflow, [max_int + 1] - goes to [strict_int] on a copy,
+   so every error keeps its message. *)
+let token_int r s start stop =
+  let neg = String.unsafe_get s start = '-' in
+  let i = ref (if neg then start + 1 else start) in
+  let acc = ref 0 and ok = ref (!i < stop) in
+  while !ok && !i < stop do
+    let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then ok := false
+    else begin
+      acc := (10 * !acc) - d;
+      incr i
+    end
+  done;
+  if !ok && neg then !acc
+  else if !ok && !acc <> min_int then - !acc
+  else strict_int r (String.sub s start (stop - start))
+
 (* Next token of the current payload, or [None] when the line (and, after
    [refill], the file) is exhausted. *)
 let rec read_request (r : reader) : int option =
   if r.eof then None
   else begin
-    let len = String.length r.cur in
-    while r.pos < len && r.cur.[r.pos] = ' ' do
-      r.pos <- r.pos + 1
+    let s = r.cur and stop = r.stop in
+    let p = ref r.pos in
+    while !p < stop && String.unsafe_get s !p = ' ' do
+      incr p
     done;
-    if r.pos >= len then begin
+    if !p >= stop then begin
       refill r;
       read_request r
     end
     else begin
-      let start = r.pos in
-      while r.pos < len && r.cur.[r.pos] <> ' ' do
-        r.pos <- r.pos + 1
+      let start = !p in
+      while !p < stop && String.unsafe_get s !p <> ' ' do
+        incr p
       done;
-      Some (strict_int r (String.sub r.cur start (r.pos - start)))
+      r.pos <- !p;
+      Some (token_int r s start !p)
     end
   end
 

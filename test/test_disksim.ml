@@ -469,9 +469,57 @@ let prop_schedule_order_irrelevant =
             | Ok _, Error _ -> false)
          (Ck_validity.algorithms_for inst))
 
+(* Int_table against a Hashtbl model over adds, updates through a cell,
+   removes and lookups.  Half the operations hit 24 keys whose home
+   cells (by the table's own mix, at its initial 128 cells) are the last
+   four, so probe runs wrap past the end and removals shift entries back
+   across it; the rest hit negative and extreme ints and several hundred
+   packed pairs, which force the table through its growth steps. *)
+let prop_int_table_model =
+  let home128 k =
+    let h = k * 0x1e3779b97f4a7c15 in
+    (h lxor (h lsr 29)) land 127
+  in
+  let rec tail_keys k acc n =
+    if n = 0 then List.rev acc
+    else if home128 k >= 124 then tail_keys (k + 1) (k :: acc) (n - 1)
+    else tail_keys (k + 1) acc n
+  in
+  let tail = Array.of_list (tail_keys 0 [] 24) in
+  let pool =
+    Array.concat
+      [ tail;
+        [| 1 lsl 20; 2 lsl 20; 1 lsl 40; max_int; min_int; -1; -7 |];
+        Array.init 500 (fun i -> (i lsl 31) lor (i land 7)) ]
+  in
+  QCheck2.Test.make ~count:200 ~name:"int_table = hashtbl model"
+    QCheck2.Gen.(
+      list_size (int_range 1 1500)
+        (pair (int_range 0 3)
+           (oneof [ int_range 0 (Array.length tail - 1); int_range 0 (Array.length pool - 1) ])))
+    (fun ops ->
+       let t = Int_table.create () and m = Hashtbl.create 16 in
+       let agrees k = Int_table.find t k = Option.value (Hashtbl.find_opt m k) ~default:(-1) in
+       List.for_all
+         (fun (op, i) ->
+            let k = pool.(i) in
+            (match op with
+             | 0 | 1 ->
+               let c = Int_table.cell t k in
+               if Int_table.value_at t c < 0 then Int_table.add_at t c k i
+               else Int_table.set_at t c (Int_table.value_at t c + 1);
+               Hashtbl.replace m k (match Hashtbl.find_opt m k with None -> i | Some v -> v + 1)
+             | 2 ->
+               Int_table.remove t k;
+               Hashtbl.remove m k
+             | _ -> ());
+            Int_table.count t = Hashtbl.length m && agrees k)
+         ops
+       && Array.for_all agrees pool)
+
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_next_ref_consistent; prop_executor_total;
-      prop_events_do_not_change_stats; prop_schedule_order_irrelevant ]
+      prop_events_do_not_change_stats; prop_schedule_order_irrelevant; prop_int_table_model ]
 
 let () =
   Alcotest.run "disksim"

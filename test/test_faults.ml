@@ -449,6 +449,104 @@ let test_parser_chunked_roundtrip () =
        let back = Trace_io.load_instance path in
        Alcotest.(check bool) "chunked roundtrip" true (inst = back))
 
+(* One token through the reader: its value, or the exact Parse_error
+   (line and message). *)
+let read_token tok =
+  with_trace_file (Printf.sprintf "k 1\nf 1\nseq %s\n" tok) (fun path ->
+      Trace_io.with_reader path (fun r ->
+          match Trace_io.read_request r with
+          | Some v -> Ok v
+          | None -> Error "no request"
+          | exception Trace_io.Parse_error { line; message; _ } ->
+            Error (Printf.sprintf "line %d: %s" line message)))
+
+(* The token table, recorded from the reader that copied each token and
+   parsed it with [int_of_string_opt]; the in-place parser must keep
+   every value and every message (63-bit ints). *)
+let test_reader_token_table () =
+  let table =
+    [ ("0", Ok 0);
+      ("-0", Ok 0);
+      ("007", Ok 7);
+      ("4611686018427387903", Ok max_int);
+      ("-4611686018427387904", Ok min_int);
+      ("4611686018427387904", Error "line 3: integer out of range: 4611686018427387904");
+      ("-4611686018427387905", Error "line 3: integer out of range: -4611686018427387905");
+      ("+5", Error "line 3: not an integer: \"+5\"");
+      ("0x10", Error "line 3: not an integer: \"0x10\"");
+      ("1_000", Error "line 3: not an integer: \"1_000\"");
+      ("-", Error "line 3: not an integer: \"-\"");
+      ("--1", Error "line 3: not an integer: \"--1\"");
+      ("1-2", Error "line 3: not an integer: \"1-2\"");
+      ("12a", Error "line 3: not an integer: \"12a\"") ]
+  in
+  List.iter
+    (fun (tok, expected) ->
+       Alcotest.(check (result int string)) tok expected (read_token tok))
+    table
+
+(* The reader's token rule as it stood before tokens were parsed in
+   place: decimal digits with at most a leading '-', in range. *)
+let strict_int_model s =
+  let ok =
+    s <> "" && s <> "-"
+    && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s
+    && not (String.contains_from s 1 '-')
+  in
+  if not ok then Error (Printf.sprintf "line 3: not an integer: %S" s)
+  else
+    match int_of_string_opt s with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "line 3: integer out of range: %s" s)
+
+let prop_reader_matches_strict_int =
+  let open QCheck2.Gen in
+  let junk = string_size ~gen:(oneof [ char_range '0' '9'; char_range 'a' 'z'; oneofl [ '-'; '+'; '_' ] ]) (int_range 1 12) in
+  (* 17-21 digits straddle the 19-digit bounds max_int and min_int. *)
+  let long =
+    map2 (fun neg d -> if neg then "-" ^ d else d) bool
+      (string_size ~gen:(char_range '0' '9') (int_range 17 21))
+  in
+  (* 18-20 digits sharing max_int's first 17, so the overflow test's
+     last steps are hit digit by digit. *)
+  let near =
+    map2 (fun neg d -> (if neg then "-" else "") ^ "46116860184273879" ^ d) bool
+      (string_size ~gen:(char_range '0' '9') (int_range 1 3))
+  in
+  let tok = oneof [ map string_of_int int; junk; long; near ] in
+  QCheck2.Test.make ~count:500 ~name:"reader parses tokens like the strict reference"
+    ~print:(fun s -> s) tok (fun s ->
+      let got = read_token s and want = strict_int_model s in
+      if got <> want then
+        QCheck2.Test.fail_reportf "token %S: reader %s, reference %s" s
+          (match got with Ok v -> string_of_int v | Error m -> m)
+          (match want with Ok v -> string_of_int v | Error m -> m)
+      else true)
+
+(* Reader allocation ceiling: tokens are parsed in place, so a request
+   costs its [Some] and a share of its line.  Deterministic for a fixed
+   file. *)
+let test_reader_minor_words () =
+  let n = 100_000 in
+  let buf = Buffer.create (1 lsl 20) in
+  Buffer.add_string buf "k 64\nf 8\n";
+  for i = 0 to n - 1 do
+    if i mod 1024 = 0 then Buffer.add_string buf (if i = 0 then "seq" else "\nseq");
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (string_of_int (i * 7919 mod 8_000_000))
+  done;
+  Buffer.add_char buf '\n';
+  with_trace_file (Buffer.contents buf) (fun path ->
+      Trace_io.with_reader path (fun r ->
+          let before = Gc.minor_words () in
+          let rec drain k = match Trace_io.read_request r with Some _ -> drain (k + 1) | None -> k in
+          let read = drain 0 in
+          let per_request = (Gc.minor_words () -. before) /. float_of_int n in
+          Alcotest.(check int) "every id read" n read;
+          if per_request > 4.0 then
+            Alcotest.failf "Trace_io.read_request allocated %.1f minor words/id (ceiling 4)"
+              per_request))
+
 (* ------------------------------------------------------------------ *)
 (* Typed invalid-schedule channel. *)
 
@@ -570,7 +668,10 @@ let () =
          Alcotest.test_case "multi-line seq" `Quick test_parser_multi_seq;
          Alcotest.test_case "incremental reader" `Quick test_reader_streams;
          Alcotest.test_case "deep malformed line" `Quick test_reader_deep_malformed_line;
-         Alcotest.test_case "chunked roundtrip" `Quick test_parser_chunked_roundtrip ]);
+         Alcotest.test_case "chunked roundtrip" `Quick test_parser_chunked_roundtrip;
+         Alcotest.test_case "token table" `Quick test_reader_token_table;
+         Alcotest.test_case "reader allocation ceiling" `Quick test_reader_minor_words;
+         QCheck_alcotest.to_alcotest prop_reader_matches_strict_int ]);
       ("typed errors",
        [ Alcotest.test_case "Invalid_schedule" `Quick test_invalid_schedule_exception ]);
       ("chrome trace", [ Alcotest.test_case "fault lane" `Quick test_trace_fault_lane ]);

@@ -382,6 +382,80 @@ let prop_win_ref_interner =
             consistent ())
          ops)
 
+(* The successor-table policy as it stood with one [Hashtbl] of
+   successor counts per block, rescanned on every request: a reference
+   for the incremental argmax. *)
+let markov_model () : S.policy =
+  let succ : (int, (int, int ref) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+  let prev = ref (-1) and want = ref (-1) in
+  let best_successor b =
+    match Hashtbl.find_opt succ b with
+    | None -> -1
+    | Some tbl ->
+      let best = ref (-1) and best_n = ref 0 in
+      Hashtbl.iter
+        (fun s n ->
+           if !n > !best_n || (!n = !best_n && (!best < 0 || s < !best)) then begin
+             best_n := !n;
+             best := s
+           end)
+        tbl;
+      !best
+  in
+  let on_find _t ~block ~hit:_ =
+    if !prev >= 0 then begin
+      let tbl =
+        match Hashtbl.find_opt succ !prev with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Hashtbl.create 4 in
+          Hashtbl.add succ !prev tbl;
+          tbl
+      in
+      match Hashtbl.find_opt tbl block with Some n -> incr n | None -> Hashtbl.add tbl block (ref 1)
+    end;
+    prev := block;
+    want := best_successor block
+  in
+  { (S.passive_policy "markov") with prefetch = (fun t -> P.try_speculative t ~want:!want); on_find }
+
+(* The flat successor table decides exactly like the model: same
+   schedule and outcome.  Ids come from a small pool (so successor
+   counts tie and climb) that collides in the low bits and reaches
+   [max_int]. *)
+let prop_markov_matches_model =
+  let pool = [| 0; 1; 2; 3; 1 lsl 20; 2 lsl 20; 3 lsl 20; 1 lsl 40; max_int; max_int - 1; 4096 |] in
+  QCheck2.Test.make ~count:300 ~name:"markov = hashtbl successor model"
+    QCheck2.Gen.(
+      quad
+        (list_size (int_range 1 300) (int_range 0 (Array.length pool - 1)))
+        (int_range 1 5) (int_range 1 5) (int_range 1 24))
+    (fun (ix, k, f, w) ->
+       let seq = Array.of_list (List.map (fun i -> pool.(i)) ix) in
+       let run pol = S.run ~record_schedule:true ~k ~fetch_time:f ~window:w (S.of_array seq) pol in
+       let got = run (P.markov ()) and want = run (markov_model ()) in
+       if got <> want then
+         QCheck2.Test.fail_reportf "k=%d f=%d w=%d: stall %d vs model %d on [%s]" k f w
+           got.S.stall_time want.S.stall_time
+           (String.concat " " (Array.to_list (Array.map string_of_int seq)))
+       else true)
+
+(* Allocation ceiling for the history policy, mirroring the replay
+   ceiling in test_disksim: the successor table is flat int arrays, so
+   a request costs the source's [Some] and the engine's own words.
+   Deterministic for a fixed trace. *)
+let test_markov_minor_words () =
+  Telemetry.set_enabled false;
+  let n = 100_000 in
+  let seq = Workload.phase_shift ~seed:1 ~n ~num_blocks:65_536 ~phase_len:(n / 200) ~working_set:512 in
+  let before = Gc.minor_words () in
+  let o = S.run ~k:64 ~fetch_time:8 ~window:64 (S.of_array seq) (P.markov ()) in
+  let per_request = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "served" n o.S.served;
+  if per_request > 10.0 then
+    Alcotest.failf "Stream.run under markov allocated %.1f minor words/request (ceiling 10)"
+      per_request
+
 (* The event-skipping clock only ever jumps stall runs. *)
 let test_clock_skip_counters () =
   Telemetry.set_enabled true;
@@ -408,14 +482,20 @@ let test_clock_skip_counters () =
             (counter "stream.stall_units");
           Alcotest.(check bool) (pname ^ ": skips happen") true (skips > 0);
           Alcotest.(check bool) (pname ^ ": skipped units <= stall") true
-            (skips <= units && units <= out.S.stall_time))
+            (skips <= units && units <= out.S.stall_time);
+          (* Every stale pop discards an entry some push made. *)
+          let pushes = counter "stream.heap_pushes" in
+          Alcotest.(check bool) (pname ^ ": heap pushes") true (pushes > 0);
+          Alcotest.(check bool) (pname ^ ": stale pops <= pushes") true
+            (counter "stream.heap_stale_pops" <= pushes))
         (P.names ()))
 
 (* ------------------------------------------------------------------ *)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_full_window_byte_identical; prop_bounded_window_replays; prop_window_saturates;
-    prop_never_beats_opt; prop_relabel_invariant; prop_win_ref_interner ]
+    prop_never_beats_opt; prop_relabel_invariant; prop_win_ref_interner;
+    prop_markov_matches_model ]
 
 let () =
   Alcotest.run "stream"
@@ -426,7 +506,8 @@ let () =
       ("engine",
        [ Alcotest.test_case "no pull after None" `Quick test_no_pull_after_none;
          Alcotest.test_case "win_ref slot recycling" `Quick test_win_ref_slots;
-         Alcotest.test_case "clock skips within stall" `Quick test_clock_skip_counters ]);
+         Alcotest.test_case "clock skips within stall" `Quick test_clock_skip_counters;
+         Alcotest.test_case "markov allocation ceiling" `Quick test_markov_minor_words ]);
       ("sparse-ids",
        [ Alcotest.test_case "bounded memory at ids < 2^50" `Quick test_sparse_ids_bounded_memory;
          Alcotest.test_case "ipc stream --file with id 4e12" `Quick test_huge_id_trace_cli ]);
