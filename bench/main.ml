@@ -184,14 +184,16 @@ let scaling_tests =
    block space) and within 5x of Aggressive at the same n.  A separate
    pass (--scale-only) with a small sample limit: one call runs for
    0.03-2 s, so the default micro quota would oversample. *)
+let scale_driver_instance n =
+  lazy
+    (Workload.single_instance ~k:64 ~fetch_time:8
+       (Workload.zipf ~seed:13 ~alpha:0.9 ~n ~num_blocks:(n / 64)))
+
+let scale_w5 = scale_driver_instance 100_000
+
 let scale_driver_tests =
-  let mk n =
-    lazy
-      (Workload.single_instance ~k:64 ~fetch_time:8
-         (Workload.zipf ~seed:13 ~alpha:0.9 ~n ~num_blocks:(n / 64)))
-  in
-  let w5 = mk 100_000 in
-  let w6 = mk 1_000_000 in
+  let w5 = scale_w5 in
+  let w6 = scale_driver_instance 1_000_000 in
   let d0_scale = Bounds.delay_opt_d ~f:8 in
   let schedulers =
     [ ("aggressive", Aggressive.schedule);
@@ -220,6 +222,47 @@ let scale_driver_tests =
            Fun.protect
              ~finally:(fun () -> Telemetry.set_enabled false)
              (fun () -> Aggressive.schedule (Lazy.force w5)))) ]
+
+(* Telemetry-overhead guard (CI: median ratio < 1.10).  Each pair times
+   one plain and one telemetry-enabled Aggressive call on the
+   scale_driver_aggressive_n100000 trace, alternating which runs first,
+   and the guard reads the median of the per-pair ratios.  One ~35 ms
+   call per side swings by 20 % and more on a shared host; the median of
+   40 interleaved pairs does not, so the bound stays 1.10 without
+   sampling noise deciding it. *)
+let telemetry_overhead_pairs = 40
+
+let measure_telemetry_overhead () =
+  let inst = Lazy.force scale_w5 in
+  let timed ~telemetry =
+    Telemetry.set_enabled telemetry;
+    let t0 = Telemetry.now_ns () in
+    ignore (Sys.opaque_identity (Aggressive.schedule inst));
+    let dt = Int64.sub (Telemetry.now_ns ()) t0 in
+    Telemetry.set_enabled false;
+    Int64.to_float dt
+  in
+  ignore (timed ~telemetry:false);
+  let ratios =
+    List.init telemetry_overhead_pairs (fun i ->
+      if i land 1 = 0 then begin
+        let plain = timed ~telemetry:false in
+        timed ~telemetry:true /. plain
+      end
+      else begin
+        let tele = timed ~telemetry:true in
+        tele /. timed ~telemetry:false
+      end)
+  in
+  let q = Stats.percentile ratios in
+  let median = q 0.5 in
+  Printf.printf "telemetry overhead: median %.3f over %d interleaved pairs (quartiles %.3f-%.3f)\n%!"
+    median telemetry_overhead_pairs (q 0.25) (q 0.75);
+  Tjson.Obj
+    [ ("pairs", Tjson.Int telemetry_overhead_pairs);
+      ("median", Tjson.Float median);
+      ("q1", Tjson.Float (q 0.25));
+      ("q3", Tjson.Float (q 0.75)) ]
 
 (* PR 10: the streaming engine at 10^5 requests, window 64 vs full
    trace.  Same trace shape as the scale_driver tier (so the pair is
@@ -321,10 +364,11 @@ let run_benchmarks ~micro ~scale () =
 
 (* Machine-readable performance snapshot, for regression tracking across
    revisions (compare two BENCH_*.json files to spot slowdowns). *)
-let write_snapshot path rows =
+let write_snapshot path rows ~guards =
   let json =
     Tjson.Obj
       [ ("schema", Tjson.String "ipc-bench/1");
+        ("guards", Tjson.Obj guards);
         ("benchmarks",
          Tjson.List
            (List.map
@@ -355,7 +399,10 @@ let () =
     "main.exe [--out PATH] [--micro-only] [--scale-only]";
   Printf.printf "=== Part 1: micro-benchmarks ===\n%!";
   let rows = run_benchmarks ~micro:(not !scale_only) ~scale:(not !micro_only) () in
-  write_snapshot !out rows;
+  let guards =
+    if !micro_only then [] else [ ("telemetry_overhead", measure_telemetry_overhead ()) ]
+  in
+  write_snapshot !out rows ~guards;
   if (not !micro_only) && not !scale_only then begin
     Printf.printf "\n=== Part 2: experiment battery (E1-E16) ===\n%!";
     List.iter

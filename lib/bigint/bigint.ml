@@ -438,19 +438,16 @@ let to_string x =
   else begin
     let buf = Buffer.create 32 in
     let chunk = 1_000_000_000 in
-    let rec digits m acc =
-      if mag_is_zero m then acc
-      else begin
-        let q, r = mag_divmod_small m chunk in
-        digits q (r :: acc)
-      end
+    (* Base-10^9 digits of a non-zero magnitude: the leading one apart
+       from the rest, so it is printed without zero padding. *)
+    let rec digits m rest =
+      let q, r = mag_divmod_small m chunk in
+      if mag_is_zero q then (r, rest) else digits q (r :: rest)
     in
     if x.sign < 0 then Buffer.add_char buf '-';
-    (match digits x.mag [] with
-     | [] -> assert false
-     | first :: rest ->
-       Buffer.add_string buf (string_of_int first);
-       List.iter (fun d -> Buffer.add_string buf (Printf.sprintf "%09d" d)) rest);
+    let first, rest = digits x.mag [] in
+    Buffer.add_string buf (string_of_int first);
+    List.iter (fun d -> Buffer.add_string buf (Printf.sprintf "%09d" d)) rest;
     Buffer.contents buf
   end
 

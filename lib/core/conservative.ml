@@ -23,10 +23,11 @@ let plan ~nr (inst : Instance.t) : plan =
   (* Interleaved (fetched, evicted, eligible) triples, doubled as they
      fill. *)
   let buf = ref (Array.make 48 0) and len = ref 0 in
-  let add ~position ~fetched ~evicted =
-    (* Last request to the victim strictly before the miss position (-1
-       if none): the eviction may only happen after it is served. *)
-    let eligible = if evicted < 0 then 0 else Next_ref.prev_before nr evicted position + 1 in
+  let add ~position:_ ~fetched ~evicted ~evicted_prev =
+    (* [evicted_prev]: the victim's last request strictly before the
+       miss position (-1 if none); the eviction may only happen after it
+       is served. *)
+    let eligible = if evicted < 0 then 0 else evicted_prev + 1 in
     if !len + 3 > Array.length !buf then begin
       let bigger = Array.make (2 * Array.length !buf) 0 in
       Array.blit !buf 0 bigger 0 !len;
@@ -47,8 +48,11 @@ let plan ~nr (inst : Instance.t) : plan =
    | Driver.Reference ->
      List.iter
        (fun (r : Paging.replacement) ->
-          add ~position:r.Paging.position ~fetched:r.Paging.fetched
-            ~evicted:(match r.Paging.evicted with Some e -> e | None -> -1))
+          let evicted = match r.Paging.evicted with Some e -> e | None -> -1 in
+          let evicted_prev =
+            if evicted < 0 then -1 else Next_ref.prev_before nr evicted r.Paging.position
+          in
+          add ~position:r.Paging.position ~fetched:r.Paging.fetched ~evicted ~evicted_prev)
        (Paging.min_offline inst).Paging.replacements);
   let b = !buf in
   let column c = Array.init (!len / 3) (fun r -> b.((3 * r) + c)) in

@@ -25,8 +25,8 @@ type pending = {
   mutable eligible_cursor : int;
 }
 
-let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
-  if d < 0 then invalid_arg "Delay.schedule: d must be non-negative";
+let decide ~d : Driver.t -> unit =
+  if d < 0 then invalid_arg "Delay: d must be non-negative";
   let merge_queries =
     (* Fast path: skip the heap entirely when a free slot decides the
        fetch, and reuse the late-check peek as the victim query when
@@ -44,10 +44,10 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
   in
   let commit_victim drv ~i ~j b =
     (* Earliest initiation: after b's last request before j. *)
-    let p = Next_ref.prev_before (Driver.next_ref drv) b j in
+    let p = Driver.prev_before drv b j in
     commit drv ~j ~evict:b ~eligible_cursor:(if p >= i then p + 1 else i)
   in
-  let decide drv =
+  fun drv ->
     if not (Driver.disk_busy drv 0) then begin
       if pending.block < 0 then begin
         let i = Driver.cursor drv in
@@ -90,8 +90,9 @@ let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
         pending.block <- -1
       end
     end
-  in
-  Driver.schedule (Driver.run inst ~decide)
+
+let schedule ~d (inst : Instance.t) : Fetch_op.schedule =
+  Driver.schedule (Driver.run inst ~decide:(decide ~d))
 
 let stats ~d inst =
   Driver.validate ~name:(Printf.sprintf "Delay(%d)" d) inst (schedule ~d inst)

@@ -14,6 +14,13 @@
     [d0 = ceil ((sqrt 3 - 1) * F / 2)] the bound tends to [sqrt 3 ~ 1.732]
     (Corollary 1).  See {!Bounds.delay_bound} and {!Bounds.delay_opt_d}. *)
 
+val decide : d:int -> Driver.t -> unit
+(** [decide ~d] is a fresh Delay(d) decision callback for {!Driver.run}.
+    It holds the committed fetch between calls, so use each one for a
+    single run.  The engine-gated query shape is fixed by
+    {!Driver.active_engine} when it is created.
+    @raise Invalid_argument if [d < 0]. *)
+
 val schedule : d:int -> Instance.t -> Fetch_op.schedule
 (** @raise Invalid_argument if [d < 0]. *)
 

@@ -13,12 +13,23 @@
 
    - [Reference]: the seed implementation.  Every query is a fresh scan
      ([next_missing] rescans the sequence from the cursor,
-     [furthest_cached] scans all blocks with a binary search each) and
+     [furthest_cached] scans all blocks with a binary search each), every
+     next/previous-reference lookup is a {!Next_ref} binary search, and
      the clock ticks one instant at a time.  Quadratic, obviously
      correct, kept as the oracle for the driver-equivalence tests.
 
    - [Fast] (the default): the same observable behaviour in
-     O((n + fetches) log k) total.
+     O((n + fetches) log k) total, the log k being the eviction heap's
+     alone: no Fast-engine query at or past the cursor runs a
+     {!Next_ref} binary search.
+       * two per-block arrays follow the cursor: [nxt.(b)], b's next
+         reference at or after the cursor, and [last.(b)], its last
+         reference before it.  [serve_one] is the only place the cursor
+         moves and it passes exactly one position, so one store into
+         each keeps both exact.  They answer the heap key of a block
+         entering the cache, the frontier clamp of an eviction and
+         [prev_before] at or past the cursor (Delay's eligible cursor)
+         in O(1), or in one hop per reference inside [cursor, j).
        * [next_missing] keeps a monotone frontier (global and per disk):
          every position in [cursor, frontier) is known non-missing, so
          scans resume at the frontier instead of the cursor.  The only
@@ -31,8 +42,9 @@
          key invariant "live key = next reference at or after the
          cursor" is maintained by re-keying the served block once per
          serve (an O(1) [next_same] lookup).  Queries [~from] beyond the
-         cursor additionally scan the ≤ from - cursor window positions
-         whose blocks' heap keys may lag (Delay's d' window).
+         cursor additionally re-score, in O(1) each, the ≤ from - cursor
+         window positions whose blocks' heap keys may lag (Delay's d'
+         window).
        * the run loop skips uniform instants: serve runs while every
          disk is busy (the decide contract below makes the callback a
          no-op there) execute in a tight loop, and stall runs where the
@@ -50,7 +62,7 @@
    (b) depend on the driver state only through the cursor, cache,
    in-flight and its own queue state - never on the raw clock - so that
    repeating it at an identical state is a no-op.  Callbacks that need
-   recency information derive it from {!Next_ref.prev_before} rather
+   recency information derive it from [last_use] / [prev_before] rather
    than by accumulating per-instant writes. *)
 
 type engine = Fast | Reference
@@ -89,6 +101,8 @@ type t = {
   missing_from_disk : int array;  (* same, per disk *)
   resident : int array;  (* dense resident-block set, for O(k) cache_list *)
   resident_pos : int array;  (* block -> index in [resident], or -1 *)
+  nxt : int array;  (* block -> its next reference at or after the cursor, or n *)
+  last : int array;  (* block -> its last reference before the cursor, or -1 *)
   (* Observability: cheap local aggregates flushed to telemetry counters
      once per run (plain int increments, never a registry lookup on the
      hot path), plus stall-interval tracking for the stall histogram and
@@ -112,7 +126,12 @@ let cache_add d b =
   d.resident_pos.(b) <- d.cache_count;
   d.resident.(d.cache_count) <- b;
   d.cache_count <- d.cache_count + 1;
-  Evict_heap.add d.heap ~block:b ~key:(Next_ref.next_at_or_after d.nr b d.cursor)
+  let key =
+    match d.engine with
+    | Fast -> d.nxt.(b)
+    | Reference -> Next_ref.next_at_or_after d.nr b d.cursor
+  in
+  Evict_heap.add d.heap ~block:b ~key
 
 let cache_remove d b =
   d.in_cache.(b) <- false;
@@ -127,9 +146,10 @@ let cache_remove d b =
 let create ?nr (inst : Instance.t) : t =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
+  let nr = match nr with Some nr -> nr | None -> Next_ref.of_instance inst in
   let d =
     { inst;
-      nr = (match nr with Some nr -> nr | None -> Next_ref.of_instance inst);
+      nr;
       n;
       engine = !default_engine;
       time = 0;
@@ -151,6 +171,8 @@ let create ?nr (inst : Instance.t) : t =
       missing_from_disk = Array.make inst.Instance.num_disks 0;
       resident = Array.make (Stdlib.max 1 num_blocks) 0;
       resident_pos = Array.make num_blocks (-1);
+      nxt = Array.init num_blocks (Next_ref.first_request nr);
+      last = Array.make num_blocks (-1);
       frontier_advances = 0;
       frontier_clamps = 0;
       clock_skips = 0;
@@ -174,6 +196,28 @@ let engine d = d.engine
 
 let in_cache d b = d.in_cache.(b)
 let cache_count d = d.cache_count
+
+(* Cursor-synchronized lookahead: [serve_one] is the only place the
+   cursor moves and it stores the served block's new next and last
+   references, so both arrays are exact for every block at all times. *)
+let next_use d b = d.nxt.(b)
+let last_use d b = d.last.(b)
+
+(* Last reference to [b] strictly before position [j], or -1.  Fast
+   engine, [j >= cursor]: [last_use] when b is not requested in
+   [cursor, j), otherwise a walk along b's [next_same] chain from its
+   next use - one hop per reference of b inside [cursor, j). *)
+let prev_before d b j =
+  match d.engine with
+  | Fast when j >= d.cursor ->
+    let j = if j > d.n then d.n else j in
+    let p = ref d.last.(b) and x = ref d.nxt.(b) in
+    while !x < j do
+      p := !x;
+      x := Next_ref.next_after_same d.nr !x
+    done;
+    !p
+  | Fast | Reference -> Next_ref.prev_before d.nr b j
 
 (* A fetch without eviction is only legal while resident blocks plus
    in-flight reservations leave a slot free. *)
@@ -261,7 +305,9 @@ let next_missing_on_disk_pos d ~disk =
    cursor window positions, so a linear pass over the window re-scores
    them and the heap covers the rest (any entry with key < from belongs
    to the window, and the valid top dominates all entries with key >=
-   from). *)
+   from).  The pass scores each window block once, at its last window
+   position p, where [next_same p] (>= from, or the end n) is already
+   its next reference from [from]: O(1) per position, no binary search. *)
 let furthest_scan d from =
   let best = ref (-1) and best_next = ref (-1) in
   for b = 0 to Array.length d.in_cache - 1 do
@@ -284,10 +330,11 @@ let furthest_cached_block d ~from =
     else begin
       let seq = d.inst.Instance.seq in
       let best = ref (-1) and best_next = ref (-1) in
+      let horizon = imin from d.n in
       for p = d.cursor to imin (from - 1) (d.n - 1) do
         let b = seq.(p) in
-        if d.in_cache.(b) then begin
-          let nx = Next_ref.next_at_or_after d.nr b from in
+        let nx = Next_ref.next_after_same d.nr p in
+        if nx >= horizon && d.in_cache.(b) then begin
           if nx > !best_next || (nx = !best_next && b < !best) then begin
             best_next := nx;
             best := b
@@ -326,7 +373,11 @@ let start_fetch ?(disk = 0) d ~block ~evict =
          e (d.cursor + 1);
      (* The eviction re-opens e's references: clamp the missing
         frontiers back to its next one. *)
-     let q = Next_ref.next_at_or_after d.nr e d.cursor in
+     let q =
+       match d.engine with
+       | Fast -> d.nxt.(e)
+       | Reference -> Next_ref.next_at_or_after d.nr e d.cursor
+     in
      if q < d.missing_from then begin
        d.frontier_clamps <- d.frontier_clamps + 1;
        if Event_log.enabled () then
@@ -402,11 +453,17 @@ let close_stall d =
 
 (* One serve step: the cursor's block is resident.  Re-keys the served
    block so its live heap key stays "next reference at or after the
-   cursor" - its next occurrence is an O(1) [next_same] lookup. *)
+   cursor" - its next occurrence is an O(1) [next_same] lookup - and
+   moves its [nxt] / [last] entries past the cursor.  No other block's
+   entries change: the cursor passes only this one position. *)
 let serve_one d =
   if d.stall_from >= 0 then close_stall d;
-  Evict_heap.add d.heap ~block:(d.inst.Instance.seq.(d.cursor))
-    ~key:(Next_ref.next_after_same d.nr d.cursor);
+  let c = d.cursor in
+  let b = d.inst.Instance.seq.(c) in
+  let nx = Next_ref.next_after_same d.nr c in
+  d.nxt.(b) <- nx;
+  d.last.(b) <- c;
+  Evict_heap.add d.heap ~block:b ~key:nx;
   d.cursor <- d.cursor + 1;
   d.time <- d.time + 1;
   d.reach_cur <- d.time

@@ -15,8 +15,10 @@ type t
     [Fast] (the default) answers every query in O(log k) amortized - a
     monotone next-missing frontier (global and per disk), a
     lazy-invalidation max-heap of eviction candidates ({!Evict_heap}),
-    and an event-skipping clock - for O((n + fetches) log k) total per
-    run.  [Reference] is the seed implementation (fresh scans per query,
+    per-block next/last-reference arrays kept in step with the cursor
+    (O(1) lookahead, no {!Next_ref} binary search), and an
+    event-skipping clock - for O((n + fetches) log k) total per run.
+    [Reference] is the seed implementation (fresh scans per query,
     one instant per loop iteration), kept as the oracle the equivalence
     suite replays every scheduler against: both engines produce
     byte-identical schedules. *)
@@ -83,6 +85,28 @@ val disk_busy : t -> int -> bool
 val any_disk_busy : t -> bool
 val block_in_flight : t -> int -> bool
 
+(** {1 Lookahead}
+
+    Two per-block arrays follow the cursor: every serve stores the served
+    block's next and last reference, so both are exact at all times. *)
+
+val next_use : t -> int -> int
+(** [next_use t b]: [b]'s next reference at or after the cursor
+    ([Instance.length] if none).  O(1); equals
+    [Next_ref.next_at_or_after (next_ref t) b (cursor t)]. *)
+
+val last_use : t -> int -> int
+(** [last_use t b]: [b]'s last reference before the cursor, or [-1].
+    O(1); equals [Next_ref.prev_before (next_ref t) b (cursor t)]. *)
+
+val prev_before : t -> int -> int -> int
+(** [prev_before t b j]: [b]'s last reference before position [j], or
+    [-1] - the answer of {!Next_ref.prev_before}.  Fast engine with
+    [j >= cursor]: {!last_use} when [b] is not requested in
+    [\[cursor, j)], otherwise one hop along [b]'s references per
+    request to [b] in that range.  Otherwise (the Reference engine, or
+    [j < cursor]) a binary search. *)
+
 (** The queries answer with int sentinels ([-1] for "none") so that a
     scheduler calling them once per decision allocates nothing. *)
 
@@ -101,8 +125,8 @@ val furthest_cached_block : t -> from:int -> int
     is empty.  {!furthest_cached_next} then returns that reference
     position ([Instance.length] meaning "never again").  Fast engine:
     O(log k) amortized from the eviction-candidate heap, plus an
-    O(from - cursor) re-scoring pass when querying beyond the cursor
-    (Delay's d' window). *)
+    O(from - cursor) re-scoring pass, O(1) per position, when querying
+    beyond the cursor (Delay's d' window). *)
 
 val furthest_cached_next : t -> int
 (** The next reference of the block the last {!furthest_cached_block}

@@ -110,7 +110,8 @@ let schedule_reference (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
      fetched for miss position j is visible (its next reference IS j)
      until served at j, hence never missed by the lazy heap.
    - Class B - a reference inside the delay window [i, i + d') but none
-     in [i + d', horizon).  At most d' candidates, enumerated directly.
+     in [i + d', horizon).  At most d' candidates, enumerated directly,
+     each in O(1) from [next_same] at its last window position.
 
    When neither class has a member, every cached block is visible and
    the driver's heap ({!Driver.furthest_cached_block}) yields the
@@ -154,7 +155,7 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
             if m < 0 then searching := false
             else begin
               let b = mirror m in
-              if (not (Driver.in_cache d b)) || Next_ref.next_at_or_after nr b c < horizon then
+              if (not (Driver.in_cache d b)) || Driver.next_use d b < horizon then
                 Evict_heap.remove heap ~block:m
               else begin
                 best := b;
@@ -165,10 +166,11 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
           done;
           for p = i to i + d' - 1 do
             let b = seq.(p) in
-            if Driver.in_cache d b
-               && Next_ref.next_at_or_after nr b (i + d') >= horizon
-            then begin
-              let lu = Next_ref.prev_before nr b c in
+            (* [next_same p >= horizon] (> i + d') holds only at b's last
+               window position, where it is b's next reference from
+               i + d'; earlier positions of b fail it and are skipped. *)
+            if Next_ref.next_after_same nr p >= horizon && Driver.in_cache d b then begin
+              let lu = Driver.last_use d b in
               if !best < 0 || lu < !best_lu || (lu = !best_lu && b > !best) then begin
                 best := b;
                 best_lu := lu
@@ -182,12 +184,12 @@ let schedule_fast (cfg : config) (inst : Instance.t) : Fetch_op.schedule =
                requests are served - the reference applies the same
                nx-from-cursor test. *)
             let v = !best in
-            if Next_ref.next_at_or_after nr v c > j then
+            if Driver.next_use d v > j then
               Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
           end
           else begin
             let v = Driver.furthest_cached_block d ~from:(i + d') in
-            if v >= 0 && Driver.furthest_cached_next d > j && Next_ref.next_at_or_after nr v c > j
+            if v >= 0 && Driver.furthest_cached_next d > j && Driver.next_use d v > j
             then Driver.start_fetch d ~block:seq.(j) ~evict:(Some v)
           end
         end

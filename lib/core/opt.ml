@@ -319,8 +319,8 @@ let ws =
     w_reach = [||];
   }
 
-let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
-  (outcome, failure) result =
+let solve_single_witness ?node_budget ?(free_evict = false) (inst : Instance.t) :
+  (int * Fetch_op.schedule * stats, failure) result =
   let n = Instance.length inst in
   let num_blocks = Instance.num_blocks inst in
   if num_blocks > max_blocks then
@@ -543,12 +543,11 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
   let incumbent = rollout () in
   let ub = match incumbent with Some (c, _) -> c | None -> max_int in
   let tally = fresh_tally () in
-  if ub = 0 then begin
+  match incumbent with
+  | Some (0, edges) ->
     (* The greedy rollout is already optimal; skip the search. *)
-    let edges = match incumbent with Some (_, e) -> e | None -> assert false in
-    Ok { stall = 0; schedule = Some (replay edges); stats = finish_stats tally ~ub ~improved:false }
-  end
-  else begin
+    Ok (0, replay edges, finish_stats tally ~ub ~improved:false)
+  | Some _ | None -> begin
     stab_reset ws.w_tbl;
     let tbl = ws.w_tbl in
     if Array.length ws.w_settled < n + 1 then begin
@@ -764,26 +763,20 @@ let solve_single ?node_budget ?(free_evict = false) (inst : Instance.t) :
             mask := pmask
           end
         done;
-        Ok
-          {
-            stall;
-            schedule = Some (replay !edges);
-            stats = finish_stats tally ~ub ~improved:true;
-          }
+        Ok (stall, replay !edges, finish_stats tally ~ub ~improved:true)
       | None ->
         (* Every node that could have beaten the incumbent was explored
            or pruned: the incumbent is optimal. *)
         (match incumbent with
-         | Some (stall, edges) ->
-           Ok
-             {
-               stall;
-               schedule = Some (replay edges);
-               stats = finish_stats tally ~ub ~improved:false;
-             }
+         | Some (stall, edges) -> Ok (stall, replay edges, finish_stats tally ~ub ~improved:false)
          | None -> Error Infeasible)
     end
   end
+
+let solve_single ?node_budget ?free_evict inst =
+  Result.map
+    (fun (stall, schedule, stats) -> { stall; schedule = Some schedule; stats })
+    (solve_single_witness ?node_budget ?free_evict inst)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel engine. *)

@@ -75,6 +75,14 @@ val solve_single :
     of expanded nodes (default: unlimited).
     @raise Invalid_argument beyond {!max_blocks} distinct blocks. *)
 
+val solve_single_witness :
+  ?node_budget:int ->
+  ?free_evict:bool ->
+  Instance.t ->
+  (int * Fetch_op.schedule * stats, failure) result
+(** {!solve_single} with the witness schedule unwrapped: [(stall,
+    schedule, stats)], for callers that need the schedule itself. *)
+
 val solve_parallel :
   ?node_budget:int -> ?extra_slots:int -> Instance.t -> (outcome, failure) result
 (** Exhaustive parallel-disk optimum (timeline search, per-disk fetches

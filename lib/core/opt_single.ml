@@ -25,14 +25,13 @@ let m_solves = Telemetry.counter "opt_single.solves"
 let m_states = Telemetry.histogram "opt_single.dp_states"
 
 let solve (inst : Instance.t) : outcome =
-  match Opt.solve_single inst with
-  | Ok o ->
+  match Opt.solve_single_witness inst with
+  | Ok (stall, schedule, stats) ->
     if Telemetry.enabled () then begin
       Telemetry.incr m_solves;
-      Telemetry.observe_int m_states o.Opt.stats.Opt.expanded
+      Telemetry.observe_int m_states stats.Opt.expanded
     end;
-    let schedule = match o.Opt.schedule with Some s -> s | None -> assert false in
-    { stall = o.Opt.stall; schedule }
+    { stall; schedule }
   | Error failure -> raise (Opt.Solver_failure { solver = "Opt_single.solve"; failure })
 
 let stall_time inst = (solve inst).stall

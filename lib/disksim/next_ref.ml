@@ -2,10 +2,19 @@
 
    Every algorithm in the paper (Aggressive's furthest-in-future eviction,
    Conservative's MIN replacements, the LP normalization properties) needs
-   "when is block b next requested at or after position i?" in O(1) or
-   O(log) time.  We precompute, for every position, the next occurrence of
-   the block requested there, and keep each block's sorted positions for
-   arbitrary (position, block) queries.
+   "when is block b next requested at or after position i?".  We
+   precompute, for every position, the next occurrence of the block
+   requested there ([next_after_same], O(1)), and keep each block's sorted
+   positions for arbitrary (position, block) queries ([next_at_or_after]
+   and [prev_before], a binary search over the block's segment: O(log c)
+   for a block requested c times, and on a skewed trace a popular
+   block's segment is thousands of positions long, so each search mostly
+   waits on cache misses).  Callers that move a cursor forward one
+   position at a time do not need the searches: {!Driver} keeps per-block
+   next/last references in step with its cursor from [next_after_same]
+   alone and answers its hot queries in O(1); its Reference engine keeps
+   the searches as the independent lookup the equivalence suite checks
+   that against.
 
    The positions are stored CSR-style: block b's positions are
    [pos.(off.(b)) .. pos.(off.(b + 1) - 1)], all blocks in one flat array

@@ -25,9 +25,10 @@ val next_strictly_after : t -> int -> int -> int
 
 val prev_before : t -> int -> int -> int
 (** [prev_before t b pos]: largest position [< pos] requesting [b], or
-    [-1] if there is none.  Replaces the O(n) last-occurrence scans in
-    Conservative/Delay eligible-cursor computation and Online's LRU
-    recency with an O(log n) query. *)
+    [-1] if there is none.  O(log) binary search.  The fast schedulers
+    get the same answer without it ([Driver.prev_before] at or past the
+    cursor, the victim's previous reference from the MIN pass); the
+    Reference engine keeps this query as their oracle. *)
 
 val is_requested_at_or_after : t -> int -> int -> bool
 val count : t -> int -> int

@@ -33,11 +33,13 @@ val min_offline_fast : Instance.t -> result
 val min_offline_iter :
   nr:Next_ref.t ->
   Instance.t ->
-  on_miss:(position:int -> fetched:int -> evicted:int -> unit) ->
+  on_miss:(position:int -> fetched:int -> evicted:int -> evicted_prev:int -> unit) ->
   unit
 (** The {!min_offline_fast} pass without the result list: [on_miss] sees
     each replacement in request order, [evicted = -1] while the cache is
-    not full.  Reports the same [paging.min.*] counters.  Conservative
+    not full.  [evicted_prev] is the victim's last reference before
+    [position] ([Next_ref.prev_before nr evicted position]; [-1] without
+    a victim or when it was never requested), tracked by the pass itself.  Reports the same [paging.min.*] counters.  Conservative
     plans through this into flat arrays; [nr] must be
     [Next_ref.of_instance inst], the index it also hands to the driver. *)
 

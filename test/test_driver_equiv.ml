@@ -10,9 +10,10 @@
    plus a scale-ish smoke, with stall accounting cross-checked through
    the executor.
 
-   Also the unit tests for Evict_heap's lazy invalidation, the typed
-   errors of Driver.start_fetch, and allocation ceilings for the decide
-   layer and the Next_ref build. *)
+   Also a property over the driver's cursor-synchronized next/last
+   reference arrays, the unit tests for Evict_heap's lazy invalidation,
+   the typed errors of Driver.start_fetch, and allocation ceilings for
+   the decide layer and the Next_ref build. *)
 
 let fail_diff ~descr ~alg (fast : Fetch_op.schedule) (ref_ : Fetch_op.schedule) =
   let pp sched =
@@ -137,6 +138,85 @@ let test_stall_accounting () =
   match Simulate.run inst (Driver.schedule fast) with
   | Ok s -> Alcotest.(check int) "executor stall" s.Simulate.stall_time (Driver.stall_time fast)
   | Error e -> Alcotest.failf "invalid: %s" e.Simulate.reason
+
+(* ------------------------------------------------------------------ *)
+(* Cursor-synchronized lookahead.  The Fast engine answers its next- and
+   previous-reference queries from two per-block arrays that serve_one
+   keeps in step with the cursor; the schedule checks above only see a
+   stale entry if it changes a decision.  This property looks at the
+   arrays themselves: at every decide call of a live run, for every
+   block, next_use / last_use / prev_before must equal the Next_ref
+   binary searches. *)
+
+let check_lookahead d =
+  let inst = Driver.instance d in
+  let nr = Driver.next_ref d in
+  let n = Instance.length inst and c = Driver.cursor d in
+  let fail what b j got want =
+    QCheck2.Test.fail_reportf "%s b%d at cursor %d (j = %d): driver %d, Next_ref %d" what b c j
+      got want
+  in
+  for b = 0 to Instance.num_blocks inst - 1 do
+    let want = Next_ref.next_at_or_after nr b c in
+    if Driver.next_use d b <> want then fail "next_use" b c (Driver.next_use d b) want;
+    let want = Next_ref.prev_before nr b c in
+    if Driver.last_use d b <> want then fail "last_use" b c (Driver.last_use d b) want;
+    (* Delay asks at the next missing position, anywhere past the
+       cursor: cover a window past the cursor, and past the end. *)
+    for j = c to Stdlib.min (n + 1) (c + (2 * inst.Instance.fetch_time) + 2) do
+      let want = Next_ref.prev_before nr b j in
+      if Driver.prev_before d b j <> want then fail "prev_before" b j (Driver.prev_before d b j) want
+    done
+  done
+
+let gen_lookahead_case =
+  QCheck2.Gen.(
+    let* num_blocks = int_range 2 12 in
+    let* n = int_range 1 120 in
+    let* seq = array_size (return n) (int_range 0 (num_blocks - 1)) in
+    let* num_disks = oneofl [ 1; 2; 4 ] in
+    let* disk_of = array_size (return num_blocks) (int_range 0 (num_disks - 1)) in
+    let* k = int_range 1 (Stdlib.min 6 num_blocks) in
+    let* f = int_range 1 9 in
+    let* warm = int_range 0 k in
+    let* initial = shuffle_l (List.init num_blocks Fun.id) in
+    let initial_cache = List.filteri (fun i _ -> i < warm) initial in
+    let inst =
+      if num_disks = 1 then Instance.single_disk ~k ~fetch_time:f ~initial_cache seq
+      else Instance.parallel ~k ~fetch_time:f ~num_disks ~disk_of ~initial_cache seq
+    in
+    return inst)
+
+(* The deciders under the check: Aggressive(-D) on every D, and on one
+   disk Delay(d) at d = 0, d0 (Corollary 1) and 2F. *)
+let lookahead_deciders (inst : Instance.t) =
+  let f = inst.Instance.fetch_time in
+  if inst.Instance.num_disks > 1 then
+    [ ("aggressive-D", fun () -> Parallel_greedy.aggressive_decide) ]
+  else
+    ("aggressive", fun () -> Aggressive.decide)
+    :: List.map
+         (fun d -> (Printf.sprintf "delay(%d)" d, fun () -> Delay.decide ~d))
+         [ 0; Bounds.delay_opt_d ~f; 2 * f ]
+
+let prop_lookahead_arrays =
+  QCheck2.Test.make ~count:400 ~name:"driver next/last arrays = Next_ref at every decide"
+    ~print:(fun inst -> Format.asprintf "%a" Instance.pp inst)
+    gen_lookahead_case
+    (fun inst ->
+       List.iter
+         (fun engine ->
+            Driver.with_engine engine (fun () ->
+              List.iter
+                (fun (_, make) ->
+                   let decide = make () in
+                   ignore
+                     (Driver.run inst ~decide:(fun d ->
+                        check_lookahead d;
+                        decide d)))
+                (lookahead_deciders inst)))
+         [ Driver.Fast; Driver.Reference ];
+       true)
 
 (* ------------------------------------------------------------------ *)
 (* Evict_heap unit tests. *)
@@ -289,6 +369,36 @@ let test_aggressive_minor_words () =
     Alcotest.failf "Aggressive.schedule allocated %.1f minor words/request (ceiling 16)"
       per_request
 
+(* Conservative, Delay and Aggressive-D allocate the same kind of
+   output; Conservative's plan adds three int columns, Aggressive-D's
+   four-disk instance its layout. *)
+let check_ceiling name ceiling n f =
+  Telemetry.set_enabled false;
+  let per_request = minor_words_per_request n f in
+  if per_request > ceiling then
+    Alcotest.failf "%s allocated %.1f minor words/request (ceiling %.0f)" name per_request ceiling
+
+let test_conservative_minor_words () =
+  let n = 100_000 in
+  let inst = scale_zipf_instance n in
+  check_ceiling "Conservative.schedule" 16.0 n (fun () -> Conservative.schedule inst)
+
+let test_delay_minor_words () =
+  let n = 100_000 in
+  let inst = scale_zipf_instance n in
+  let d = Bounds.delay_opt_d ~f:inst.Instance.fetch_time in
+  check_ceiling "Delay.schedule" 16.0 n (fun () -> Delay.schedule ~d inst)
+
+let test_parallel_greedy_minor_words () =
+  let n = 100_000 in
+  let inst =
+    Workload.parallel_instance ~k:64 ~fetch_time:8 ~num_disks:4
+      ~layout:(fun ~num_blocks ~num_disks -> Workload.striped_layout ~num_blocks ~num_disks)
+      (Workload.zipf ~seed:13 ~alpha:0.9 ~n ~num_blocks:(n / 64))
+  in
+  check_ceiling "Parallel_greedy.aggressive_schedule" 16.0 n (fun () ->
+    Parallel_greedy.aggressive_schedule inst)
+
 let test_next_ref_build_minor_words () =
   let n = 100_000 in
   let inst = scale_zipf_instance n in
@@ -304,6 +414,7 @@ let () =
          Alcotest.test_case "theorem-2 family" `Quick test_theorem2_equivalence;
          Alcotest.test_case "online delay livelock family" `Quick test_online_delay_livelock;
          Alcotest.test_case "stall accounting" `Quick test_stall_accounting ]);
+      ("lookahead", [ QCheck_alcotest.to_alcotest prop_lookahead_arrays ]);
       ("evict-heap",
        [ Alcotest.test_case "basic order" `Quick test_heap_basic;
          Alcotest.test_case "tie-break towards smaller id" `Quick test_heap_tie_break;
@@ -320,4 +431,8 @@ let () =
            test_error_victim_not_resident ]);
       ("allocation",
        [ Alcotest.test_case "aggressive decide ceiling" `Quick test_aggressive_minor_words;
+         Alcotest.test_case "conservative decide ceiling" `Quick test_conservative_minor_words;
+         Alcotest.test_case "delay decide ceiling" `Quick test_delay_minor_words;
+         Alcotest.test_case "parallel greedy decide ceiling" `Quick
+           test_parallel_greedy_minor_words;
          Alcotest.test_case "next_ref build ceiling" `Quick test_next_ref_build_minor_words ]) ]
